@@ -7,12 +7,32 @@ stack regions they own, how far the stream has progressed -- to survive
 restarts.  The paper leaves recovery as engineering; this module
 provides it: :func:`save_geometric_file` serialises the complete
 logical state (config, progress counters, every ledger, the buffer,
-and both RNG states) to JSON, and :func:`load_geometric_file`
-reconstructs a file that continues *bit-for-bit identically* to the
-original (tested).
+the sampling law's state, and both RNG states) as one JSON document,
+and :func:`load_geometric_file` reconstructs a file that continues
+*bit-for-bit identically* to the original (tested).
 
-Record payloads are included when the file retains records; a
-count-only benchmark file round-trips its counters and layout only.
+Format version 2.  Counters, layout and RNG state are plain JSON.  The
+bulk -- retained records -- is binary: each ledger's records, and the
+buffer's, are one base64 string of their slab packed with
+``RecordSchema(record_size).dtype``, the codec the disk segments, the
+shared-memory rings and the columnar engine already share.  Weights
+and law aux rows are base64 float64 (C order), so every float,
+including A-ExpJ's ``-inf`` log keys, round-trips bit-exactly.  The
+buffer stores its *stored* weights plus the epoch factor they are
+multiplied by, so a restored biased buffer repeats the saved one's
+floating-point arithmetic.  Payloads follow the slot contract of
+:meth:`~repro.storage.records.RecordSchema.decode`: padded or
+truncated to the slot width, trailing NUL bytes dropped.  Version 1
+documents (records as ``[key, value, timestamp, base64]`` lists) are
+rejected.
+
+The writer encodes one ledger at a time with ``json.dumps`` (CPython's
+C encoder; ``json.dump`` streams through the pure-Python one) and
+writes each piece straight into the sink, so no per-record lists and
+no whole-document string are ever built.  The text equals
+``json.dumps`` of the parsed document.
+
+A count-only benchmark file round-trips its counters and layout only.
 """
 
 from __future__ import annotations
@@ -20,12 +40,13 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import asdict
-from typing import IO
+from typing import IO, Iterable
 
 import numpy as np
 
 from ..storage.device import BlockDevice
-from ..storage.records import Record
+from ..storage.recordbatch import RecordBatch
+from ..storage.records import RecordSchema
 from .biased_file import (
     BiasedGeometricFile,
     BiasedMultipleGeometricFiles,
@@ -35,23 +56,54 @@ from .geometric_file import GeometricFile, GeometricFileConfig
 from .multi import MultiFileConfig, MultipleGeometricFiles
 from .subsample import SubsampleLedger
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def _encode_record(record: Record) -> list:
-    payload = base64.b64encode(record.payload).decode("ascii")
-    return [record.key, record.value, record.timestamp, payload]
+def _pack_records(schema: RecordSchema, records) -> str | None:
+    """Records as base64 of their packed slab (``schema.dtype`` rows)."""
+    if records is None:
+        return None
+    if isinstance(records, list):
+        data = schema.encode_batch(records)
+    else:  # a RecordBatch or a structured slab view
+        data = schema.encode_many(records)
+    return base64.b64encode(data).decode("ascii")
 
 
-def _decode_record(fields: list) -> Record:
-    key, value, timestamp, payload = fields
-    return Record(key=int(key), value=float(value),
-                  timestamp=float(timestamp),
-                  payload=base64.b64decode(payload))
+def _unpack_records(schema: RecordSchema, text: str | None, count: int,
+                    columnar: bool):
+    """Inverse of :func:`_pack_records`: a writable
+    :class:`RecordBatch` for columnar structures, else a record list."""
+    if text is None:
+        return None
+    batch = RecordBatch.from_bytes(schema, base64.b64decode(text))
+    if len(batch) != count:
+        raise ValueError(f"checkpoint holds {len(batch)} records where "
+                         f"its counters say {count}")
+    return batch.copy() if columnar else batch.to_records()
 
 
-def _encode_ledger(ledger: SubsampleLedger) -> dict:
-    state = {
+def _pack_floats(values) -> str | None:
+    """A float64 vector or matrix as base64 of its C-order bytes."""
+    if values is None:
+        return None
+    data = np.asarray(values, dtype=np.float64).tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
+def _unpack_floats(text: str | None) -> np.ndarray | None:
+    if text is None:
+        return None
+    return np.frombuffer(base64.b64decode(text), dtype=np.float64)
+
+
+def _unpack_aux(text: str | None, width: int) -> np.ndarray | None:
+    values = _unpack_floats(text)
+    return None if values is None else values.reshape(-1, width).copy()
+
+
+def _encode_ledger(ledger: SubsampleLedger, schema: RecordSchema) -> dict:
+    return {
         "ident": ledger.ident,
         "segment_sizes": list(ledger.segment_sizes),
         "first_level": ledger.first_level,
@@ -63,42 +115,25 @@ def _encode_ledger(ledger: SubsampleLedger) -> dict:
         "reconciled_balance": ledger._reconciled_balance,
         "slots": list(ledger.slots),
         "stack_region": ledger.stack_region,
-        "records": None,
-        "weights": None,
-        "aux": None,
+        "records": _pack_records(schema, ledger.records),
+        "weights": _pack_floats(ledger.weights),
+        "aux": _pack_floats(ledger.aux),
     }
-    if ledger.records is not None:
-        state["records"] = [_encode_record(r) for r in ledger.records]
-    if ledger.weights is not None:
-        state["weights"] = list(ledger.weights)
-    if ledger.aux is not None:
-        # json handles +-Infinity natively, so A-ExpJ's -inf log keys
-        # round-trip without special casing.
-        state["aux"] = ledger.aux.tolist()
-    return state
 
 
-def _decode_ledger(state: dict, schema=None) -> SubsampleLedger:
-    records = state["records"]
-    if records is not None:
-        records = [_decode_record(f) for f in records]
-        if schema is not None:
-            # Columnar restore: the ledger holds a RecordBatch slab, so
-            # the reloaded structure keeps its pure-array query path.
-            from ..storage.recordbatch import RecordBatch
-
-            records = RecordBatch.from_records(schema, records)
+def _decode_ledger(state: dict, gf) -> SubsampleLedger:
     ledger = SubsampleLedger.__new__(SubsampleLedger)
     ledger.ident = state["ident"]
     ledger.first_level = state["first_level"]
     ledger.tail_size = state["tail_size"]
     ledger.live = state["live"]
-    ledger.records = records
-    ledger.weights = (list(state["weights"])
-                      if state["weights"] is not None else None)
-    aux = state.get("aux")
-    ledger.aux = (np.asarray(aux, dtype=np.float64)
-                  if aux else None)
+    # Columnar structures keep RecordBatch ledgers (and with them the
+    # pure-array query path); list-mode ones get record objects.
+    ledger.records = _unpack_records(gf.schema, state["records"],
+                                     ledger.live, gf.columnar)
+    weights = _unpack_floats(state["weights"])
+    ledger.weights = None if weights is None else weights.tolist()
+    ledger.aux = _unpack_aux(state["aux"], gf._law.aux_width)
     ledger.stack_balance = state["stack_balance"]
     ledger.stack_capacity = state["stack_capacity"]
     ledger.overflowed = False
@@ -107,6 +142,19 @@ def _decode_ledger(state: dict, schema=None) -> SubsampleLedger:
     ledger.stack_region = state["stack_region"]
     ledger.restore_layout_state(state["segment_sizes"], state["slots"])
     return ledger
+
+
+def _write_with_ledgers(sink: IO[str], head: dict,
+                        ledgers: Iterable[SubsampleLedger],
+                        schema: RecordSchema) -> None:
+    """Write ``head`` plus a last member ``"ledgers"``, encoding and
+    writing one ledger at a time."""
+    sink.write(json.dumps(head)[:-1] + ', "ledgers": [')
+    for index, ledger in enumerate(ledgers):
+        if index:
+            sink.write(", ")
+        sink.write(json.dumps(_encode_ledger(ledger, schema)))
+    sink.write("]}")
 
 
 def save_geometric_file(gf: GeometricFile | MultipleGeometricFiles,
@@ -126,15 +174,15 @@ def save_geometric_file(gf: GeometricFile | MultipleGeometricFiles,
             atomic rename) is what makes the no-loss/no-double-count
             guarantee crash-safe.
     """
-    buffer_records = None
-    buffer_weights = None
-    buffer_aux = None
-    if gf.buffer.retains_records:
-        buffer_records = [_encode_record(r) for r in gf.buffer]
-        if gf.buffer._weights is not None:
-            buffer_weights = gf.buffer.weights()
-        if gf.buffer.aux_width:
-            buffer_aux = gf.buffer.aux_view().tolist()
+    buffer = gf.buffer
+    buffer_records = buffer_weights = buffer_aux = None
+    if buffer.retains_records:
+        buffer_records = _pack_records(
+            gf.schema,
+            buffer.pending_view() if buffer.columnar else list(buffer))
+        buffer_weights = _pack_floats(buffer._weights)
+        if buffer.aux_width:
+            buffer_aux = _pack_floats(buffer.aux_view())
     state = {
         "version": FORMAT_VERSION,
         "kind": type(gf).__name__,
@@ -145,9 +193,10 @@ def save_geometric_file(gf: GeometricFile | MultipleGeometricFiles,
         "stack_overflows": gf.stack_overflows,
         "startup_index": gf._startup_index,
         "next_ident": gf._next_ident,
-        "buffer_count": gf.buffer.count,
+        "buffer_count": buffer.count,
         "buffer_records": buffer_records,
         "buffer_weights": buffer_weights,
+        "buffer_scale": buffer._scale,
         "buffer_aux": buffer_aux,
         "law_state": gf._law.state_dict(),
         "rng_state": _encode_py_rng(gf._rng.getstate()),
@@ -155,26 +204,24 @@ def save_geometric_file(gf: GeometricFile | MultipleGeometricFiles,
     }
     if meta is not None:
         state["meta"] = meta
-    if isinstance(gf, MultipleGeometricFiles):
-        state["files"] = [
-            {
-                "free_slots": file.layout._free_slots,
-                "dummy_slots": list(file.dummy_slots),
-                "ledgers": [_encode_ledger(ledger)
-                            for ledger in file.subsamples],
-            }
-            for file in gf.files
-        ]
-    else:
-        state["free_slots"] = gf._layout._free_slots
-        state["ledgers"] = [_encode_ledger(ledger)
-                            for ledger in gf.subsamples]
     if isinstance(gf, BiasedSamplingMixin):
         state["total_weight"] = gf.total_weight
         state["multipliers"] = {str(k): v
                                 for k, v in gf.multipliers.items()}
         state["overflow_events"] = gf.overflow_events
-    json.dump(state, sink)
+    if isinstance(gf, MultipleGeometricFiles):
+        sink.write(json.dumps(state)[:-1] + ', "files": [')
+        for index, file in enumerate(gf.files):
+            if index:
+                sink.write(", ")
+            _write_with_ledgers(
+                sink, {"free_slots": file.layout._free_slots,
+                       "dummy_slots": list(file.dummy_slots)},
+                file.subsamples, gf.schema)
+        sink.write("]}")
+    else:
+        state["free_slots"] = gf._layout._free_slots
+        _write_with_ledgers(sink, state, gf.subsamples, gf.schema)
 
 
 def load_geometric_file(source: IO[str], device: BlockDevice,
@@ -192,11 +239,17 @@ def load_geometric_file(source: IO[str], device: BlockDevice,
         A file whose subsequent behaviour is identical to the saved one.
         Any ``meta`` mapping passed to :func:`save_geometric_file` is
         attached as ``checkpoint_meta`` (``None`` when absent).
+
+    Raises:
+        ValueError: for any format version but :data:`FORMAT_VERSION`,
+            an unknown structure kind, or record slabs that disagree
+            with the counters stored beside them.
     """
     state = json.load(source)
-    if state.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version "
-                         f"{state.get('version')!r}")
+    version = state.get("version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r} "
+                         f"(this build reads version {FORMAT_VERSION})")
     kind = state["kind"]
     if kind in ("BiasedGeometricFile", "BiasedMultipleGeometricFiles"):
         if weight_fn is None:
@@ -229,29 +282,30 @@ def load_geometric_file(source: IO[str], device: BlockDevice,
     gf.stack_overflows = state["stack_overflows"]
     gf._startup_index = state["startup_index"]
     gf._next_ident = state["next_ident"]
-    ledger_schema = gf.schema if getattr(gf, "columnar", False) else None
     if isinstance(gf, MultipleGeometricFiles):
         for file, file_state in zip(gf.files, state["files"]):
             file.layout._free_slots = [list(s)
                                        for s in file_state["free_slots"]]
             file.dummy_slots = list(file_state["dummy_slots"])
-            file.subsamples = [_decode_ledger(s, ledger_schema)
+            file.subsamples = [_decode_ledger(s, gf)
                                for s in file_state["ledgers"]]
     else:
         gf._layout._free_slots = [list(s) for s in state["free_slots"]]
-        gf.subsamples = [_decode_ledger(s, ledger_schema)
-                         for s in state["ledgers"]]
-    if state["buffer_records"] is not None:
-        buffer_aux = state.get("buffer_aux")
-        for index, fields in enumerate(state["buffer_records"]):
-            weight = None
-            if state["buffer_weights"] is not None:
-                weight = state["buffer_weights"][index]
-            aux = buffer_aux[index] if buffer_aux is not None else None
-            gf.buffer.append(_decode_record(fields), weight=weight,
-                             aux=aux)
+        gf.subsamples = [_decode_ledger(s, gf) for s in state["ledgers"]]
+    buffer = gf.buffer
+    records = _unpack_records(gf.schema, state["buffer_records"],
+                              state["buffer_count"], columnar=False)
+    if records is None:
+        buffer.append_count(state["buffer_count"])
     else:
-        gf.buffer.append_count(state["buffer_count"])
+        aux = _unpack_aux(state["buffer_aux"], buffer.aux_width)
+        for index, record in enumerate(records):
+            buffer.append(record, aux=None if aux is None else aux[index])
+        # Stored weights and their epoch factor go back verbatim, so the
+        # next scale_weights() repeats the saved buffer's arithmetic.
+        weights = _unpack_floats(state["buffer_weights"])
+        buffer._weights = None if weights is None else weights.tolist()
+        buffer._scale = state["buffer_scale"]
     law_state = state.get("law_state")
     if law_state is not None:
         gf._law.restore_state(law_state)

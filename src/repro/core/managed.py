@@ -13,10 +13,17 @@ state resume exactly (bit-identical continuation is a tested property
 of :mod:`repro.core.checkpoint`), so the reservoir remains a true
 sample of the records it has *seen*; the gap is simply unseen stream,
 the same as any downtime.
+
+A checkpoint is written to a temp beside the state file and renamed
+over it, so it is atomic against process death: a reader sees the old
+state or the new one, never a mix.  It is not fsynced, so power loss
+is outside this model.  A writer killed mid-write leaves its temp
+behind; the next :class:`ManagedSample` to open that path deletes it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from typing import Callable
@@ -28,6 +35,9 @@ from .biased_file import BiasedGeometricFile, BiasedMultipleGeometricFiles
 from .checkpoint import load_geometric_file, save_geometric_file
 from .geometric_file import GeometricFile, GeometricFileConfig
 from .multi import MultiFileConfig, MultipleGeometricFiles
+
+#: Suffix of in-flight checkpoint temps; see ``ManagedSample._temp_names``.
+_TEMP_SUFFIX = ".tmp"
 
 _KINDS = {
     "geometric": (GeometricFile, GeometricFileConfig),
@@ -84,6 +94,7 @@ class ManagedSample:
         self.path = os.fspath(checkpoint_path)
         self.checkpoint_every = checkpoint_every
         self._weight_fn = weight_fn
+        self._remove_stale_temps()
         self.restored = os.path.exists(self.path)
         self.checkpoint_meta: dict | None = None
         if self.restored:
@@ -206,9 +217,9 @@ class ManagedSample:
         # checkpoint never describes I/O the device has not absorbed
         # (and a parked writer fault surfaces here, not mid-save).
         self.structure.flush_barrier()
-        directory = os.path.dirname(self.path) or "."
+        directory, prefix = self._temp_names()
         descriptor, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=".checkpoint-", suffix=".json"
+            dir=directory, prefix=prefix, suffix=_TEMP_SUFFIX
         )
         try:
             with os.fdopen(descriptor, "w", encoding="ascii") as sink:
@@ -222,6 +233,33 @@ class ManagedSample:
         self._checkpointed_flushes = self.structure.flushes
         self.structure._emit("checkpoint", path=self.path,
                           flushes=self.structure.flushes)
+
+    def _temp_names(self) -> tuple[str, str]:
+        """(directory, file-name prefix) of this checkpoint's temps:
+        ``<dir>/.<name>.XXXXXXXX.tmp`` for ``<dir>/<name>``."""
+        directory, name = os.path.split(self.path)
+        return directory or ".", f".{name}."
+
+    def _remove_stale_temps(self) -> None:
+        """Delete temps that a writer killed mid-checkpoint left behind.
+
+        A SIGKILL during :meth:`checkpoint` skips its cleanup, leaving a
+        partial temp that no reader ever uses.  One process at a time
+        owns a checkpoint path (shard respawn joins the old worker
+        before it starts the new one), so when a sample opens, every
+        temp named after its checkpoint is stale.
+        """
+        directory, prefix = self._temp_names()
+        try:
+            names = os.listdir(directory)
+        except FileNotFoundError:
+            return
+        for name in names:
+            middle = name[len(prefix):-len(_TEMP_SUFFIX)]
+            if (name.startswith(prefix) and name.endswith(_TEMP_SUFFIX)
+                    and middle and "." not in middle):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(os.path.join(directory, name))
 
     def _maybe_checkpoint(self) -> None:
         if (self.checkpoint_every

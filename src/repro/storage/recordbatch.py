@@ -200,8 +200,25 @@ class RecordBatch:
         return self.schema.encode_many(self._array)
 
     def to_records(self) -> list[Record] | list[WeightedRecord]:
-        """Decode every row into record objects (the slow shim)."""
-        return list(self)
+        """Decode every row into record objects, as iteration does.
+
+        One ``tolist()`` per column converts the numbers in C, so the
+        only per-row Python work is building the record; checkpoint
+        restore decodes whole ledgers through here.
+        """
+        array = self._array
+        if "payload" in (array.dtype.names or ()):
+            payloads = [p.rstrip(b"\x00") for p in array["payload"].tolist()]
+        else:
+            payloads = [b""] * len(array)
+        records = [Record(key, value, timestamp, payload)
+                   for key, value, timestamp, payload in zip(
+                       array["key"].tolist(), array["value"].tolist(),
+                       array["timestamp"].tolist(), payloads)]
+        if self.schema.weighted:
+            return [WeightedRecord(record, weight) for record, weight
+                    in zip(records, array["weight"].tolist())]
+        return records
 
     # -- copies and rearrangements ---------------------------------------
 

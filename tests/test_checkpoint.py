@@ -1,16 +1,22 @@
 """Tests for geometric-file checkpoint / recovery."""
 
 import io
+import json
 import math
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import TEST_BLOCK, make_geometric_file, small_disk_params
 from repro.core.biased_file import BiasedGeometricFile
 from repro.core.checkpoint import load_geometric_file, save_geometric_file
 from repro.core.geometric_file import GeometricFile, GeometricFileConfig
+from repro.core.multi import MultiFileConfig, MultipleGeometricFiles
 from repro.storage.device import SimulatedBlockDevice
-from repro.storage.records import Record
+from repro.storage.recordbatch import RecordBatch
+from repro.storage.records import MIN_RECORD_SIZE, Record, RecordSchema
 
 
 def feed(gf, n, start=0):
@@ -18,12 +24,16 @@ def feed(gf, n, start=0):
         gf.offer(Record(key=i, value=float(i), timestamp=float(i)))
 
 
-def round_trip(gf, weight_fn=None):
+def saved_text(gf):
     sink = io.StringIO()
     save_geometric_file(gf, sink)
-    sink.seek(0)
+    return sink.getvalue()
+
+
+def round_trip(gf, weight_fn=None):
     device = SimulatedBlockDevice(gf.device.n_blocks, small_disk_params())
-    return load_geometric_file(sink, device, weight_fn=weight_fn)
+    return load_geometric_file(io.StringIO(saved_text(gf)), device,
+                               weight_fn=weight_fn)
 
 
 class TestRoundTrip:
@@ -96,14 +106,15 @@ class TestBiasedRoundTrip:
     def weight_fn(record):
         return math.exp(record.timestamp / 500.0)
 
-    def make_biased(self):
+    def make_biased(self, weight_fn=None):
         config = GeometricFileConfig(
             capacity=300, buffer_capacity=30, record_size=40,
             retain_records=True, beta_records=4,
         )
         blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
         device = SimulatedBlockDevice(blocks, small_disk_params())
-        return BiasedGeometricFile(device, config, self.weight_fn, seed=0)
+        return BiasedGeometricFile(device, config,
+                                   weight_fn or self.weight_fn, seed=0)
 
     def test_biased_state_survives(self):
         bf = self.make_biased()
@@ -134,6 +145,35 @@ class TestBiasedRoundTrip:
         with pytest.raises(ValueError):
             load_geometric_file(sink, device)
 
+    def test_buffer_weight_epoch_survives(self):
+        """Checkpoints taken while the buffer's weight epoch is not 1
+        continue with bit-identical weights.
+
+        Overflow scaling multiplies the buffer's epoch factor, not its
+        stored weights; a restore that folded the factor into the
+        weights would compute ``(w*s)*f`` where the uninterrupted file
+        computes ``w*(s*f)``.
+        """
+        def weight_fn(record):
+            return math.exp(record.timestamp / 37.0)
+
+        checked = 0
+        for stop in range(400, 700, 37):
+            bf = self.make_biased(weight_fn)
+            feed(bf, stop)
+            if bf.buffer._scale == 1.0:
+                continue
+            restored = round_trip(bf, weight_fn=weight_fn)
+            flushes = bf.flushes
+            feed(bf, 150, start=stop)
+            feed(restored, 150, start=stop)
+            assert restored.flushes == bf.flushes > flushes
+            assert ([(r.key, w) for r, w in restored.items()]
+                    == [(r.key, w) for r, w in bf.items()])
+            assert restored.buffer.weights() == bf.buffer.weights()
+            checked += 1
+        assert checked >= 5
+
 
 class TestValidation:
     def test_unknown_version_rejected(self):
@@ -141,11 +181,12 @@ class TestValidation:
         feed(gf, 100)
         sink = io.StringIO()
         save_geometric_file(gf, sink)
-        text = sink.getvalue().replace('"version": 1', '"version": 99')
+        state = json.loads(sink.getvalue())
+        state["version"] = 99
         device = SimulatedBlockDevice(gf.device.n_blocks,
                                       small_disk_params())
         with pytest.raises(ValueError):
-            load_geometric_file(io.StringIO(text), device)
+            load_geometric_file(io.StringIO(json.dumps(state)), device)
 
     def test_unknown_kind_rejected(self):
         gf = make_geometric_file(capacity=300, buffer_capacity=30)
@@ -243,3 +284,111 @@ class TestBiasedMultiRoundTrip:
         assert (sorted((r.key, w) for r, w in bf.items())
                 == sorted((r.key, w) for r, w in restored.items()))
         restored.check_invariants()
+
+
+# -- format version 2 --------------------------------------------------------
+
+
+def build(structure, law, columnar, seed):
+    params = (("weight", "value"),) if law == "aexpj" else ()
+    common = dict(capacity=400, buffer_capacity=40, record_size=40,
+                  beta_records=4, retain_records=True, admission="uniform",
+                  columnar=columnar, law=law, law_params=params)
+    if structure == "multi":
+        cls, config = MultipleGeometricFiles, MultiFileConfig(
+            alpha_prime=0.6, **common)
+    else:
+        cls, config = GeometricFile, GeometricFileConfig(**common)
+    blocks = cls.required_blocks(config, TEST_BLOCK)
+    return cls(SimulatedBlockDevice(blocks, small_disk_params()), config,
+               seed=seed)
+
+
+def stream(start, n):
+    """Records with weight classes 1..10 and payloads of 0-14 bytes."""
+    return [Record(key=i, value=float(i % 10 + 1), timestamp=float(i),
+                   payload=b"p%d" % i if i % 3 else b"")
+            for i in range(start, start + n)]
+
+
+def offer(gf, records):
+    if gf.columnar:
+        gf.offer_batch(RecordBatch.from_records(gf.schema, records))
+    else:
+        gf.offer_many(records)
+
+
+class TestFormat:
+    @given(structure=st.sampled_from(["geometric", "multi"]),
+           law=st.sampled_from(["uniform", "aexpj"]),
+           columnar=st.booleans(), at_flush=st.booleans(),
+           n1=st.integers(1, 900), n2=st.integers(1, 300),
+           seed=st.integers(0, 1_000))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_save_load_save_is_identical_and_continues_bit_exact(
+            self, structure, law, columnar, at_flush, n1, n2, seed):
+        gf = build(structure, law, columnar, seed)
+        offer(gf, stream(0, n1))
+        seen = n1
+        # Step one record at a time to a flush boundary (empty buffer),
+        # or to a state with records in the buffer.
+        flushes = gf.flushes
+        while (gf.flushes == flushes) if at_flush else not gf.buffer.count:
+            offer(gf, stream(seen, 1))
+            seen += 1
+        assert (gf.buffer.count == 0) == at_flush
+        text = saved_text(gf)
+        assert json.dumps(json.loads(text)) == text
+        restored = load_geometric_file(
+            io.StringIO(text),
+            SimulatedBlockDevice(gf.device.n_blocks, small_disk_params()))
+        assert saved_text(restored) == text
+        more = stream(seen, n2)
+        offer(gf, more)
+        offer(restored, more)
+        assert saved_text(restored) == saved_text(gf)
+        assert (restored.sample(rng=random.Random(1))
+                == gf.sample(rng=random.Random(1)))
+        restored.check_invariants()
+
+    def test_version_1_document_rejected(self):
+        gf = make_geometric_file(capacity=300, buffer_capacity=30)
+        feed(gf, 100)
+        state = json.loads(saved_text(gf))
+        # Version 1 stored every record as a [key, value, timestamp,
+        # base64 payload] list.
+        state["version"] = 1
+        state["buffer_records"] = [[r.key, r.value, r.timestamp, ""]
+                                   for r in gf.buffer]
+        for ledger, saved in zip(gf.subsamples, state["ledgers"]):
+            saved["records"] = [[r.key, r.value, r.timestamp, ""]
+                                for r in ledger.records]
+        device = SimulatedBlockDevice(gf.device.n_blocks,
+                                      small_disk_params())
+        with pytest.raises(ValueError, match="version 1"):
+            load_geometric_file(io.StringIO(json.dumps(state)), device)
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_payloads_restore_as_the_slot_codec_decodes_them(self,
+                                                             columnar):
+        """A payload exactly the slot width, and one longer, come back
+        as ``RecordSchema.decode`` returns them (the disk, shm and
+        columnar contract)."""
+        schema = RecordSchema(40)
+        width = schema.record_size - MIN_RECORD_SIZE
+        offered = {i: Record(key=i, value=float(i), timestamp=float(i),
+                             payload=bytes([65 + i % 26]) * (width + i % 2))
+                   for i in range(150)}
+        gf = make_geometric_file(capacity=100, buffer_capacity=10,
+                                 columnar=columnar)
+        for record in offered.values():
+            gf.offer(record)
+        restored = round_trip(gf)
+        retained = [r for ledger in restored.subsamples
+                    for r in ledger.records] + list(restored.buffer)
+        assert len(retained) == 100 + restored.buffer.count
+        for record in retained:
+            assert record == schema.decode(schema.encode(offered[record.key]))
+        lengths = {len(offered[r.key].payload) for r in retained}
+        assert lengths == {width, width + 1}

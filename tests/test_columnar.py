@@ -142,6 +142,7 @@ class TestCodecByteIdentity:
         assert schema.encode_many(batch) == data
         assert list(schema.decode_many(data)) == \
             schema.decode_batch(data, len(records))
+        assert batch.to_records() == schema.decode_batch(data, len(records))
 
     @given(record_size=st.integers(MIN_RECORD_SIZE + 8, 96),
            records=record_lists(),
@@ -156,6 +157,7 @@ class TestCodecByteIdentity:
         assert batch.to_bytes() == data
         decoded = list(schema.decode_many(data))
         assert decoded == schema.decode_batch(data, len(records))
+        assert batch.to_records() == decoded
         assert all(isinstance(r, WeightedRecord) for r in decoded)
 
     @given(records=record_lists())

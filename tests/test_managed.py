@@ -162,15 +162,71 @@ class TestKinds:
             ManagedSample(path, factory_for(cfg), mcfg, kind="multi")
 
 
+#: A child that checkpoints once, then is SIGKILLed in the middle of
+#: writing its next checkpoint (argv: checkpoint path).
+_KILLED_MID_CHECKPOINT = '''
+import os, signal, sys
+from repro.core import managed
+from repro.core.geometric_file import GeometricFile, GeometricFileConfig
+from repro.storage.device import SimulatedBlockDevice
+from repro.storage.records import Record
+
+cfg = GeometricFileConfig(capacity=400, buffer_capacity=40, record_size=40,
+                          retain_records=True, beta_records=4)
+blocks = GeometricFile.required_blocks(cfg, 4096)
+ms = managed.ManagedSample(sys.argv[1], lambda: SimulatedBlockDevice(blocks),
+                           cfg, checkpoint_every=0)
+ms.offer_many([Record(key=i) for i in range(600)])
+ms.checkpoint()
+
+def killed_save(gf, sink, *, meta=None):
+    sink.write('{"version": 2, ')
+    sink.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+managed.save_geometric_file = killed_save
+ms.checkpoint()
+'''
+
+
 class TestAtomicity:
     def test_no_temp_files_left_behind(self, tmp_path):
         cfg = config()
         ms = ManagedSample(tmp_path / "s.json", factory_for(cfg), cfg,
                            checkpoint_every=1)
         feed(ms, 800)
-        leftovers = [p for p in os.listdir(tmp_path)
-                     if p.startswith(".checkpoint-")]
-        assert leftovers == []
+        assert os.listdir(tmp_path) == ["s.json"]
+
+    def test_open_removes_temps_of_killed_writers(self, tmp_path):
+        """A SIGKILL mid-write leaves its temp behind; the next open of
+        that checkpoint deletes it, so kills never accumulate temps, and
+        other files' temps are left alone."""
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        path = tmp_path / "s.json"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for _ in range(3):
+            child = subprocess.run(
+                [sys.executable, "-c", _KILLED_MID_CHECKPOINT, str(path)],
+                env=env, capture_output=True, timeout=60, check=False)
+            assert child.returncode == -signal.SIGKILL, child.stderr
+            temps = [n for n in os.listdir(tmp_path) if n != "s.json"]
+            assert len(temps) == 1
+            assert temps[0].startswith(".s.json.")
+            assert temps[0].endswith(".tmp")
+        other = tmp_path / ".s.json.bak.x1y2z3.tmp"  # another file's temp
+        other.write_text("{}")
+
+        cfg = config()
+        resumed = ManagedSample(path, factory_for(cfg), cfg)
+        assert sorted(os.listdir(tmp_path)) == [other.name, "s.json"]
+        # Each child resumed the last good checkpoint and added 600.
+        assert resumed.stats().seen == 3 * 600
 
 
 class TestBiasedMultiKind:

@@ -148,6 +148,8 @@ class BufferedDiskReservoir(StreamReservoir):
         self.device = device
         self.config = config
         self.schema = RecordSchema(config.record_size)
+        if config.retain_records:
+            self._payload_schema = self.schema
         self.buffer = SampleBuffer(config.buffer_capacity, self._rng,
                                    retain_records=config.retain_records,
                                    np_rng=self._np_rng,

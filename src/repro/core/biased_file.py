@@ -75,6 +75,7 @@ class BiasedSamplingMixin:
     def offer(self, record: Record) -> None:
         """Present one stream record (Algorithm 4 admission)."""
         self._check_engine()
+        self._check_payloads((record,))
         weight = self.weight_fn(record)
         if weight <= 0:
             raise ValueError(
@@ -117,6 +118,8 @@ class BiasedSamplingMixin:
         structures (the inherited vectorised gate would apply the wrong
         admission law), not as a fast path.
         """
+        records = list(records)
+        self._check_payloads(records)
         before = self._samples_added
         offer = self.offer
         for record in records:

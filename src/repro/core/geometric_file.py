@@ -202,6 +202,8 @@ class GeometricFile(StreamReservoir):
         self.device = device
         self.config = config
         self.schema = RecordSchema(config.record_size)
+        if config.retain_records:
+            self._payload_schema = self.schema
         self.alpha = alpha_for(config.capacity, config.buffer_capacity)
         self.beta = config.resolve_beta(device.block_size)
         self.ladder = build_ladder(config.buffer_capacity, self.alpha,

@@ -14,11 +14,23 @@ of :mod:`repro.core.checkpoint`), so the reservoir remains a true
 sample of the records it has *seen*; the gap is simply unseen stream,
 the same as any downtime.
 
-A checkpoint is written to a temp beside the state file and renamed
-over it, so it is atomic against process death: a reader sees the old
-state or the new one, never a mix.  It is not fsynced, so power loss
-is outside this model.  A writer killed mid-write leaves its temp
-behind; the next :class:`ManagedSample` to open that path deletes it.
+On disk a checkpoint is a small JSON manifest at ``checkpoint_path``
+plus one immutable slab file per subsample beside it
+(``<name>.ledger-<ident>-<rows>``; see :mod:`repro.core.checkpoint`).
+A subsample's slab is written once, when it first appears in a
+checkpoint, and rewritten only when its live records stop being a
+prefix of it or fall to half its rows; every other checkpoint writes
+just the manifest.
+
+Commit order: the manifest is written to a temp beside the state file,
+with each new slab written and closed on the way; the temp is renamed
+over the state file; only then are the slabs that the old manifest
+alone named deleted.  The
+rename is the commit point, so a checkpoint is atomic against process
+death: a reader sees the old state or the new one, never a mix.  It is
+not fsynced, so power loss is outside this model.  A writer killed
+mid-checkpoint leaves its temp and new slabs behind; the next
+:class:`ManagedSample` to open that path deletes them.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from ..sampling.weights import WeightFunction
 from ..storage.device import BlockDevice
 from ..storage.records import Record
 from .biased_file import BiasedGeometricFile, BiasedMultipleGeometricFiles
-from .checkpoint import load_geometric_file, save_geometric_file
+from .checkpoint import SlabStore, load_geometric_file, save_geometric_file
 from .geometric_file import GeometricFile, GeometricFileConfig
 from .multi import MultiFileConfig, MultipleGeometricFiles
 
@@ -51,9 +63,10 @@ class ManagedSample:
     """A checkpointed sampling structure bound to a state file.
 
     Args:
-        checkpoint_path: where the JSON state lives.  If the file
-            exists, the structure is restored from it; otherwise a
-            fresh one is created from ``config``.
+        checkpoint_path: where the JSON manifest lives (its slab
+            files go beside it).  If the file exists, the structure is
+            restored from it; otherwise a fresh one is created from
+            ``config``.
         device_factory: builds the backing block device (called on both
             create and restore; the devices carry no authoritative
             state -- the checkpoint is the source of truth).
@@ -94,13 +107,14 @@ class ManagedSample:
         self.path = os.fspath(checkpoint_path)
         self.checkpoint_every = checkpoint_every
         self._weight_fn = weight_fn
-        self._remove_stale_temps()
+        self._slabs = SlabStore(self.path)
         self.restored = os.path.exists(self.path)
         self.checkpoint_meta: dict | None = None
         if self.restored:
             with open(self.path, "r", encoding="ascii") as source:
                 self.structure = load_geometric_file(
-                    source, device_factory(), weight_fn=weight_fn
+                    source, device_factory(), weight_fn=weight_fn,
+                    slabs=self._slabs
                 )
             if not isinstance(self.structure, cls):
                 raise ValueError(
@@ -124,6 +138,7 @@ class ManagedSample:
                                  weight_fn=weight_fn)
         else:
             self.structure = cls(device_factory(), config, seed=seed)
+        self._remove_stale_files()
         self._checkpointed_flushes = self.structure.flushes
 
     @classmethod
@@ -203,7 +218,8 @@ class ManagedSample:
         return self.structure.flushes - self._checkpointed_flushes
 
     def checkpoint(self, *, meta: dict | None = None) -> None:
-        """Write the current state atomically (write + rename).
+        """Write the current state atomically (new slabs, then the
+        manifest by write + rename).
 
         Args:
             meta: optional caller metadata embedded in the checkpoint
@@ -223,12 +239,15 @@ class ManagedSample:
         )
         try:
             with os.fdopen(descriptor, "w", encoding="ascii") as sink:
-                save_geometric_file(self.structure, sink, meta=meta)
+                save_geometric_file(self.structure, sink, meta=meta,
+                                    slabs=self._slabs)
             os.replace(temp_path, self.path)
         except BaseException:
             if os.path.exists(temp_path):
                 os.unlink(temp_path)
+            self._slabs.abort()
             raise
+        self._slabs.commit()
         self.checkpoint_meta = meta
         self._checkpointed_flushes = self.structure.flushes
         self.structure._emit("checkpoint", path=self.path,
@@ -240,14 +259,15 @@ class ManagedSample:
         directory, name = os.path.split(self.path)
         return directory or ".", f".{name}."
 
-    def _remove_stale_temps(self) -> None:
-        """Delete temps that a writer killed mid-checkpoint left behind.
+    def _remove_stale_files(self) -> None:
+        """Delete what a writer killed mid-checkpoint left behind.
 
         A SIGKILL during :meth:`checkpoint` skips its cleanup, leaving a
-        partial temp that no reader ever uses.  One process at a time
-        owns a checkpoint path (shard respawn joins the old worker
-        before it starts the new one), so when a sample opens, every
-        temp named after its checkpoint is stale.
+        partial temp and new slabs that no reader ever uses.  One
+        process at a time owns a checkpoint path (shard respawn joins
+        the old worker before it starts the new one), so when a sample
+        opens, every temp named after its checkpoint, and every slab of
+        it that the manifest does not name, is stale.
         """
         directory, prefix = self._temp_names()
         try:
@@ -256,8 +276,9 @@ class ManagedSample:
             return
         for name in names:
             middle = name[len(prefix):-len(_TEMP_SUFFIX)]
-            if (name.startswith(prefix) and name.endswith(_TEMP_SUFFIX)
-                    and middle and "." not in middle):
+            if ((name.startswith(prefix) and name.endswith(_TEMP_SUFFIX)
+                    and middle and "." not in middle)
+                    or self._slabs.is_stale(name)):
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(os.path.join(directory, name))
 

@@ -110,6 +110,8 @@ class MultipleGeometricFiles(StreamReservoir):
         self.device = device
         self.config = config
         self.schema = RecordSchema(config.record_size)
+        if config.retain_records:
+            self._payload_schema = self.schema
         self.alpha = alpha_for(config.capacity, config.buffer_capacity)
         self.n_files = file_count_for(self.alpha, config.alpha_prime)
         #: The decay rate actually realised by the integer file count.

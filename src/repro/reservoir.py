@@ -270,6 +270,10 @@ class StreamReservoir(abc.ABC):
         # attached by enable_aqp_cache(); None keeps every ingest hook
         # a single attribute check.
         self._hot = None
+        #: Schema whose payload slot offered records must fit, set by
+        #: structures that keep records as offered (see
+        #: RecordSchema.check_payloads); None skips the check.
+        self._payload_schema = None
         # Observability hooks, attached by instrument().
         self._obs_name: str = self.name
         self._registry = None
@@ -515,6 +519,7 @@ class StreamReservoir(abc.ABC):
     def offer(self, record: Record) -> None:
         """Present one stream record (record-level exact path)."""
         self._check_engine()
+        self._check_payloads((record,))
         self._seen += 1
         if self._hot is not None:
             self._hot.observe(record)
@@ -543,6 +548,7 @@ class StreamReservoir(abc.ABC):
         self._check_engine()
         if not isinstance(records, (list, tuple)):
             records = list(records)
+        self._check_payloads(records)
         n = len(records)
         if n == 0:
             return 0
@@ -601,6 +607,12 @@ class StreamReservoir(abc.ABC):
                 self._admit_many(admitted if isinstance(admitted, list)
                                  else list(admitted))
         return count
+
+    def _check_payloads(self, records) -> None:
+        """Reject a record whose payload is wider than its slot before
+        any state changes (a ``RecordBatch`` cannot carry one)."""
+        if self._payload_schema is not None:
+            self._payload_schema.check_payloads(records)
 
     def _admit_batch(self, batch) -> None:
         """Columnar admit hook; the default decodes to the object path."""

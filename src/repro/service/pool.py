@@ -467,11 +467,7 @@ class ProcessPool:
             return reply
 
     def try_recv(self, shard_id: int) -> tuple | None:
-        """Non-blocking :meth:`recv`; ``None`` when nothing is ready.
-
-        The scatter-gather query fan-out polls shards round-robin with
-        this, consuming whichever shard answers first.
-        """
+        """Non-blocking :meth:`recv`; ``None`` when nothing is ready."""
         buffer = self._buffers[shard_id]
         if not buffer:
             self._slurp(shard_id)

@@ -46,7 +46,7 @@ from .merge import (
     merge_weighted_samples,
 )
 from .partition import make_partitioner
-from .pool import InlinePool, ProcessPool, ShardDead, _AdaptiveWait
+from .pool import InlinePool, ProcessPool, ShardDead
 from .shm import DEFAULT_RING_BYTES
 from .spec import ShardSpec, shard_directory
 
@@ -265,6 +265,10 @@ class ShardedReservoir:
         else:
             if not isinstance(records, (list, tuple)):
                 records = list(records)
+            if self.config.retain_records:
+                # Up front for the schema guard's reason: the shards
+                # would reject the batch on every replay.
+                self._schema.check_payloads(records)
             if self._hot is not None:
                 # Fed *before* partitioning: the supervisor-side cache
                 # over the union stream is exactly the hypergeometric
@@ -717,66 +721,36 @@ class ShardedReservoir:
                    seconds=self.last_recovery_seconds)
 
     def _broadcast_query(self, kind: str, *args) -> list[dict]:
-        """Parallel scatter-gather: ask every shard, take answers as
-        they land, return payloads in shard order.
+        """Parallel scatter-gather: ask every shard, then collect the
+        answers in shard order.
 
         Markers are enqueued behind all previously offered batches
         (FIFO per shard), which is what makes the merged answer a
-        consistent snapshot.  All shards draw *concurrently*; the
-        gather loop polls round-robin with the pool's non-blocking
-        ``try_recv`` and consumes whichever shard finishes first, so
-        the fan-out's wall time is the slowest shard, not the sum.
-        Payloads are ordered by shard id before the merge, keeping the
-        merge RNG consumption identical to a sequential gather.  A
-        shard dying mid-query is recovered and re-asked with a fresh
-        token.
+        consistent snapshot.  Every shard is asked before any answer is
+        awaited, so all shards draw *concurrently* and the fan-out's
+        wall time is the slowest shard, not the sum.  Each answer is a
+        blocking receive, which returns as soon as the reply lands: a
+        poll with backoff would add a delay that depends on when the
+        reply beat the poll.  Payloads come back in shard order,
+        keeping the merge RNG consumption fixed.  A shard dying
+        mid-query is recovered and re-asked with a fresh token.
         """
         if self._closed:
             raise RuntimeError("service is closed")
-        tokens: dict[int, int] = {}
+        tokens = [self._send_query(shard_id, kind, args)
+                  for shard_id in range(self.shards)]
+        payloads = []
         for shard_id in range(self.shards):
-            tokens[shard_id] = self._send_query(shard_id, kind, args)
-        payloads: dict[int, dict] = {}
-        pending = set(range(self.shards))
-        deadline = {shard_id: time.monotonic() + self.timeout
-                    for shard_id in pending}
-        wait = _AdaptiveWait()
-        while pending:
-            progressed = False
-            for shard_id in sorted(pending):
+            while True:
                 try:
-                    reply = self._pool.try_recv(shard_id)
+                    reply = self._collect(shard_id, kind, tokens[shard_id])
+                    break
                 except ShardDead:
                     self._recover(shard_id)
                     tokens[shard_id] = self._send_query(shard_id, kind,
                                                         args)
-                    deadline[shard_id] = time.monotonic() + self.timeout
-                    progressed = True
-                    continue
-                if reply is None:
-                    if time.monotonic() > deadline[shard_id]:
-                        raise TimeoutError(
-                            f"shard {shard_id} sent no {kind!r} reply "
-                            f"within {self.timeout} seconds")
-                    continue
-                progressed = True
-                deadline[shard_id] = time.monotonic() + self.timeout
-                if reply[0] == kind and reply[2] == tokens[shard_id]:
-                    payloads[shard_id] = reply[3]
-                    pending.discard(shard_id)
-                elif self._handle_ack(shard_id, reply):
-                    pass
-                elif reply[0] in ("sample", "stats"):
-                    pass  # stale reply from an abandoned attempt
-                else:
-                    raise RuntimeError(
-                        f"shard {shard_id}: unexpected reply "
-                        f"{reply[0]!r} while waiting for {kind!r}")
-            if progressed:
-                wait = _AdaptiveWait()
-            elif pending:
-                wait.sleep()
-        return [payloads[shard_id] for shard_id in range(self.shards)]
+            payloads.append(reply[3])
+        return payloads
 
     def _send_query(self, shard_id: int, kind: str, args: tuple) -> int:
         while True:

@@ -11,9 +11,16 @@ own process*.
 
 Directory layout, per shard::
 
-    <root>/shard-00/checkpoint.json   the durable state (atomic rename)
-    <root>/shard-00/device.bin        only for file-backed devices
+    <root>/shard-00/checkpoint.json            the manifest (atomic rename)
+    <root>/shard-00/checkpoint.json.ledger-*   one immutable slab per
+                                               subsample it names
+    <root>/shard-00/device.bin                 only for file-backed devices
 
+A subsample's slab is written once and rewritten only when its live
+records fall to half the slab's rows (or stop being a prefix of it),
+so the slabs hold at most about twice the live records' packed bytes.
+New slabs are closed before the manifest's rename, which is the commit
+point; the slabs only the old manifest named are deleted after it.
 The checkpoint is the single source of truth on recovery; devices carry
 no authoritative state (see :mod:`repro.core.managed`).
 """

@@ -152,6 +152,26 @@ class RecordSchema:
         """
         return _batch_dtype(self.record_size, self.weighted)
 
+    def check_payloads(self, records) -> None:
+        """Raise ``ValueError`` for the first record whose payload is
+        wider than a slot's payload field (:meth:`encode` would
+        truncate it).
+
+        Structures that keep records as offered call this before any
+        state changes, so a record never reads back one way in memory
+        and another after a restore or a trip through a slab.  Entries
+        without a payload (count-only ``None``) are skipped.
+        """
+        width = (self.record_size - MIN_RECORD_SIZE
+                 - (_WEIGHT.size if self.weighted else 0))
+        for record in records:
+            payload = getattr(record, "payload", None)
+            if payload is not None and len(payload) > width:
+                raise ValueError(
+                    f"record {record.key}: its {len(payload)}-byte payload "
+                    f"does not fit the {width}-byte payload slot of "
+                    f"{self.record_size}-byte records")
+
     def records_per_block(self, block_size: int) -> int:
         """How many whole records fit in one device block."""
         n = block_size // self.record_size

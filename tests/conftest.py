@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import signal
 
 import pytest
@@ -56,6 +57,22 @@ def make_multi_file(capacity=2000, buffer_capacity=100, record_size=40,
     blocks = MultipleGeometricFiles.required_blocks(config, TEST_BLOCK)
     device = SimulatedBlockDevice(blocks, small_disk_params())
     return MultipleGeometricFiles(device, config, seed=seed)
+
+
+def manifest_ledgers(path) -> list[dict]:
+    """Every ledger entry of the checkpoint manifest at ``path``."""
+    state = json.loads(path.read_text())
+    if "ledgers" in state:
+        return state["ledgers"]
+    return [ledger for file in state["files"] for ledger in file["ledgers"]]
+
+
+def checkpoint_files(path) -> list[str]:
+    """The manifest at ``path`` (a ``pathlib.Path``) plus the slab files
+    it names, sorted: what its directory should hold."""
+    return sorted([path.name] + [ledger["slab"]["file"]
+                                 for ledger in manifest_ledgers(path)
+                                 if ledger["slab"]])
 
 
 def keyed_records(n: int) -> list[Record]:

@@ -1,18 +1,30 @@
 """Tests for geometric-file checkpoint / recovery."""
 
+import base64
 import io
 import json
 import math
+import os
+import pathlib
 import random
+import re
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import TEST_BLOCK, make_geometric_file, small_disk_params
+from conftest import (
+    TEST_BLOCK,
+    checkpoint_files,
+    make_geometric_file,
+    manifest_ledgers,
+    small_disk_params,
+)
 from repro.core.biased_file import BiasedGeometricFile
 from repro.core.checkpoint import load_geometric_file, save_geometric_file
 from repro.core.geometric_file import GeometricFile, GeometricFileConfig
+from repro.core.managed import ManagedSample
 from repro.core.multi import MultiFileConfig, MultipleGeometricFiles
 from repro.storage.device import SimulatedBlockDevice
 from repro.storage.recordbatch import RecordBatch
@@ -372,23 +384,197 @@ class TestFormat:
     @pytest.mark.parametrize("columnar", [False, True])
     def test_payloads_restore_as_the_slot_codec_decodes_them(self,
                                                              columnar):
-        """A payload exactly the slot width, and one longer, come back
-        as ``RecordSchema.decode`` returns them (the disk, shm and
-        columnar contract)."""
+        """A payload exactly the slot width comes back as
+        ``RecordSchema.decode`` returns it (the disk, shm and columnar
+        contract); one byte longer is rejected before any state
+        changes, so no record reads back differently after a restore."""
         schema = RecordSchema(40)
         width = schema.record_size - MIN_RECORD_SIZE
         offered = {i: Record(key=i, value=float(i), timestamp=float(i),
-                             payload=bytes([65 + i % 26]) * (width + i % 2))
+                             payload=bytes([65 + i % 26]) * width)
                    for i in range(150)}
         gf = make_geometric_file(capacity=100, buffer_capacity=10,
                                  columnar=columnar)
         for record in offered.values():
             gf.offer(record)
+        before = saved_text(gf)
+        too_long = Record(key=150, payload=b"x" * (width + 1))
+        for verb in (gf.offer, lambda r: gf.offer_many([r])):
+            with pytest.raises(ValueError,
+                               match=f"record 150: its {width + 1}-byte "
+                                     f"payload .* {width}-byte"):
+                verb(too_long)
+        assert saved_text(gf) == before
         restored = round_trip(gf)
         retained = [r for ledger in restored.subsamples
                     for r in ledger.records] + list(restored.buffer)
         assert len(retained) == 100 + restored.buffer.count
         for record in retained:
             assert record == schema.decode(schema.encode(offered[record.key]))
-        lengths = {len(offered[r.key].payload) for r in retained}
-        assert lengths == {width, width + 1}
+            assert len(record.payload) == width
+
+
+# -- format version 3: slab files beside a managed manifest ------------------
+
+
+_CHAIN_LAWS = {
+    "uniform": (),
+    "aexpj": (("weight", "value"),),
+    "window": (("window", 600), ("sample_size", 60)),
+}
+
+
+def chain_config(structure, law, columnar):
+    common = dict(capacity=400, buffer_capacity=40, record_size=40,
+                  beta_records=4, retain_records=True, admission="uniform",
+                  columnar=columnar, law=law, law_params=_CHAIN_LAWS[law])
+    if structure == "multi":
+        return MultipleGeometricFiles, MultiFileConfig(alpha_prime=0.6,
+                                                       **common)
+    return GeometricFile, GeometricFileConfig(**common)
+
+
+class TestSlabFiles:
+    @given(structure=st.sampled_from(["geometric", "multi"]),
+           law=st.sampled_from(sorted(_CHAIN_LAWS)),
+           columnar=st.booleans(),
+           steps=st.lists(st.integers(1, 400), min_size=1, max_size=14),
+           reopen=st.integers(0, 13), seed=st.integers(0, 1_000))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_checkpoint_chain_reopens_bit_exact(
+            self, structure, law, columnar, steps, reopen, seed):
+        """Offers and incremental checkpoints alternate; the sample is
+        reopened from disk after checkpoint ``reopen`` and must continue
+        exactly like an uninterrupted twin.  After every checkpoint the
+        directory holds the manifest and exactly the slabs it names."""
+        cls, config = chain_config(structure, law, columnar)
+        blocks = cls.required_blocks(config, TEST_BLOCK)
+
+        def factory():
+            return SimulatedBlockDevice(blocks, small_disk_params())
+
+        kind = "multi" if structure == "multi" else "geometric"
+        twin = cls(factory(), config, seed=seed)
+        with tempfile.TemporaryDirectory() as directory:
+            path = pathlib.Path(directory) / "checkpoint.json"
+            managed = ManagedSample(path, factory, config, kind=kind,
+                                    checkpoint_every=0, seed=seed)
+            seen = 0
+            for index, n in enumerate(steps):
+                records = stream(seen, n)
+                seen += n
+                offer(twin, records)
+                offer(managed.structure, records)
+                managed.checkpoint()
+                assert sorted(os.listdir(directory)) == checkpoint_files(path)
+                if index == reopen:
+                    managed = ManagedSample(path, factory, None, kind=kind)
+                    assert saved_text(managed.structure) == saved_text(twin)
+            more = stream(seen, 150)
+            offer(twin, more)
+            offer(managed.structure, more)
+            assert saved_text(managed.structure) == saved_text(twin)
+            assert (managed.sample(rng=random.Random(1))
+                    == twin.sample(rng=random.Random(1)))
+            managed.check_invariants()
+
+    def test_half_rule_rewrites_shrunken_slabs(self, tmp_path):
+        """A uniform ledger keeps its slab while more than half its rows
+        are live and gets a fresh, smaller one at half or below; the
+        directory stays within twice the live records' packed bytes
+        plus the manifest."""
+        cls, config = chain_config("geometric", "uniform", False)
+        blocks = cls.required_blocks(config, TEST_BLOCK)
+        path = tmp_path / "checkpoint.json"
+        managed = ManagedSample(
+            path, lambda: SimulatedBlockDevice(blocks, small_disk_params()),
+            config, checkpoint_every=0)
+        slab_of: dict[int, str] = {}
+        kept = rewritten = 0
+        for start in range(0, 12_000, 300):
+            offer(managed.structure, stream(start, 300))
+            managed.checkpoint()
+            for ledger in manifest_ledgers(path):
+                name = ledger["slab"]["file"]
+                rows = int(name.rsplit("-", 1)[1])
+                assert 2 * ledger["live"] > rows
+                previous = slab_of.get(ledger["ident"])
+                if previous is not None:
+                    if previous == name:
+                        kept += 1
+                    else:
+                        rewritten += 1
+                        assert rows * 2 <= int(previous.rsplit("-", 1)[1])
+                slab_of[ledger["ident"]] = name
+            live_bytes = managed.structure.disk_size * config.record_size
+            on_disk = sum(os.path.getsize(tmp_path / name)
+                          for name in os.listdir(tmp_path))
+            assert on_disk <= 2 * live_bytes + path.stat().st_size
+        assert kept > rewritten > 0
+
+
+class TestSlabValidation:
+    def checkpointed(self, tmp_path):
+        """A checkpoint path and the first slab it names with >1 live."""
+        cls, config = chain_config("geometric", "uniform", False)
+        blocks = cls.required_blocks(config, TEST_BLOCK)
+        path = tmp_path / "checkpoint.json"
+        managed = ManagedSample(
+            path, lambda: SimulatedBlockDevice(blocks, small_disk_params()),
+            config, checkpoint_every=0)
+        offer(managed.structure, stream(0, 1500))
+        managed.checkpoint()
+        ledger = next(ledger for ledger in manifest_ledgers(path)
+                      if ledger["live"] > 1)
+        return path, tmp_path / ledger["slab"]["file"], ledger["live"]
+
+    def assert_rejected(self, path, slab, message):
+        """Reopening raises a ValueError naming ``slab``, then
+        ``message``."""
+        cls, config = chain_config("geometric", "uniform", False)
+        blocks = cls.required_blocks(config, TEST_BLOCK)
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(slab))} {message}"):
+            ManagedSample.restore(
+                path,
+                lambda: SimulatedBlockDevice(blocks, small_disk_params()))
+
+    def test_partial_row_rejected(self, tmp_path):
+        path, slab, _ = self.checkpointed(tmp_path)
+        slab.write_bytes(slab.read_bytes()[:-1])
+        self.assert_rejected(path, slab, ".*not a whole number of")
+
+    def test_short_slab_rejected(self, tmp_path):
+        path, slab, live = self.checkpointed(tmp_path)
+        slab.write_bytes(slab.read_bytes()[:(live - 1) * 40])
+        self.assert_rejected(path, slab, f"holds {live - 1} rows")
+
+    def test_altered_last_live_row_rejected(self, tmp_path):
+        path, slab, live = self.checkpointed(tmp_path)
+        data = bytearray(slab.read_bytes())
+        data[(live - 1) * 40] ^= 0xFF  # the low byte of row live-1's key
+        slab.write_bytes(bytes(data))
+        self.assert_rejected(path, slab, f"row {live - 1} differs")
+
+    def test_missing_slab_rejected(self, tmp_path):
+        path, slab, _ = self.checkpointed(tmp_path)
+        slab.unlink()
+        self.assert_rejected(path, slab, "is missing")
+
+    def test_version_2_document_rejected(self):
+        """Version 2 kept every ledger's records inline as one base64
+        slab in the document; there is no migration."""
+        gf = make_geometric_file(capacity=300, buffer_capacity=30)
+        feed(gf, 500)
+        state = json.loads(saved_text(gf))
+        state["version"] = 2
+        for ledger, saved in zip(gf.subsamples, state["ledgers"]):
+            del saved["slab"], saved["last"]
+            saved["records"] = base64.b64encode(
+                gf.schema.encode_batch(ledger.records)).decode("ascii")
+            saved["weights"] = saved["aux"] = None
+        device = SimulatedBlockDevice(gf.device.n_blocks,
+                                      small_disk_params())
+        with pytest.raises(ValueError, match="version 2"):
+            load_geometric_file(io.StringIO(json.dumps(state)), device)

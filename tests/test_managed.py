@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from conftest import TEST_BLOCK, small_disk_params
+from conftest import TEST_BLOCK, checkpoint_files, small_disk_params
 from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.core.managed import ManagedSample
 from repro.core.multi import MultiFileConfig, MultipleGeometricFiles
@@ -179,12 +179,36 @@ ms = managed.ManagedSample(sys.argv[1], lambda: SimulatedBlockDevice(blocks),
 ms.offer_many([Record(key=i) for i in range(600)])
 ms.checkpoint()
 
-def killed_save(gf, sink, *, meta=None):
-    sink.write('{"version": 2, ')
+def killed_save(gf, sink, *, meta=None, slabs=None):
+    sink.write('{"version": 3, ')
     sink.flush()
     os.kill(os.getpid(), signal.SIGKILL)
 
 managed.save_geometric_file = killed_save
+ms.checkpoint()
+'''
+
+
+#: A child that checkpoints once, ingests enough for new subsamples,
+#: then is SIGKILLed after its next checkpoint has written their slabs
+#: and its manifest temp, just before the rename (argv: checkpoint
+#: path).
+_KILLED_BEFORE_RENAME = '''
+import os, signal, sys
+from repro.core import managed
+from repro.core.geometric_file import GeometricFile, GeometricFileConfig
+from repro.storage.device import SimulatedBlockDevice
+from repro.storage.records import Record
+
+cfg = GeometricFileConfig(capacity=400, buffer_capacity=40, record_size=40,
+                          retain_records=True, beta_records=4)
+blocks = GeometricFile.required_blocks(cfg, 4096)
+ms = managed.ManagedSample(sys.argv[1], lambda: SimulatedBlockDevice(blocks),
+                           cfg, checkpoint_every=0)
+ms.offer_many([Record(key=i) for i in range(600)])
+ms.checkpoint()
+ms.offer_many([Record(key=i) for i in range(600, 1200)])
+os.replace = lambda source, target: os.kill(os.getpid(), signal.SIGKILL)
 ms.checkpoint()
 '''
 
@@ -195,7 +219,8 @@ class TestAtomicity:
         ms = ManagedSample(tmp_path / "s.json", factory_for(cfg), cfg,
                            checkpoint_every=1)
         feed(ms, 800)
-        assert os.listdir(tmp_path) == ["s.json"]
+        assert (sorted(os.listdir(tmp_path))
+                == checkpoint_files(tmp_path / "s.json"))
 
     def test_open_removes_temps_of_killed_writers(self, tmp_path):
         """A SIGKILL mid-write leaves its temp behind; the next open of
@@ -215,7 +240,8 @@ class TestAtomicity:
                 [sys.executable, "-c", _KILLED_MID_CHECKPOINT, str(path)],
                 env=env, capture_output=True, timeout=60, check=False)
             assert child.returncode == -signal.SIGKILL, child.stderr
-            temps = [n for n in os.listdir(tmp_path) if n != "s.json"]
+            temps = [n for n in os.listdir(tmp_path)
+                     if n not in checkpoint_files(path)]
             assert len(temps) == 1
             assert temps[0].startswith(".s.json.")
             assert temps[0].endswith(".tmp")
@@ -224,9 +250,47 @@ class TestAtomicity:
 
         cfg = config()
         resumed = ManagedSample(path, factory_for(cfg), cfg)
-        assert sorted(os.listdir(tmp_path)) == [other.name, "s.json"]
+        assert (sorted(os.listdir(tmp_path))
+                == sorted([other.name] + checkpoint_files(path)))
         # Each child resumed the last good checkpoint and added 600.
         assert resumed.stats().seen == 3 * 600
+
+    def test_kill_between_slab_write_and_rename(self, tmp_path):
+        """New slabs written by a checkpoint whose manifest never got
+        renamed are orphans: the reopened sample restores the previous
+        manifest, whose slabs are intact, and collects the orphans."""
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        path = tmp_path / "s.json"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", _KILLED_BEFORE_RENAME, str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            timeout=60, check=False)
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        named = checkpoint_files(path)
+        left = [n for n in os.listdir(tmp_path) if n not in named]
+        temps = [n for n in left if n.endswith(".tmp")]
+        orphans = [n for n in left if n.startswith("s.json.ledger-")]
+        assert len(temps) == 1 and orphans
+        assert len(temps) + len(orphans) == len(left)
+
+        cfg = config()
+        resumed = ManagedSample(path, factory_for(cfg), cfg)
+        assert sorted(os.listdir(tmp_path)) == named
+        assert resumed.stats().seen == 600
+        resumed.check_invariants()
+        # Replaying the lost ingest commits cleanly on top.
+        resumed.offer_many([Record(key=i) for i in range(600, 1200)])
+        resumed.checkpoint()
+        assert sorted(os.listdir(tmp_path)) == checkpoint_files(path)
+        again = ManagedSample(path, factory_for(cfg), cfg)
+        assert again.stats().seen == 1200
+        again.check_invariants()
 
 
 class TestBiasedMultiKind:

@@ -319,6 +319,28 @@ class TestClientRetries:
             engine.close()
 
 
+class TestServedValidation:
+    def test_overlong_payload_answers_bad_request(self, tmp_path):
+        """The engine's payload-width guard reaches a served client as
+        ``bad_request``, and the engine state is untouched."""
+        engine = make_engine(tmp_path / "svc")
+        client = ServeClient.in_process(ReservoirServer(engine))
+        try:
+            client.offer_batch(keyed_records(20))
+            depth = engine.journal_depth
+            batch = keyed_records(5, start=100) + [
+                Record(key=105, payload=b"x" * (32 - 24 + 1))]
+            with pytest.raises(ServeError) as excinfo:
+                client.offer_batch(batch)
+            assert excinfo.value.code == "bad_request"
+            assert "record 105" in str(excinfo.value)
+            assert engine.journal_depth == depth
+            assert client.stats().seen == 20
+        finally:
+            client.close()
+            engine.close()
+
+
 # -- the twin-run guarantee --------------------------------------------------
 
 

@@ -251,6 +251,28 @@ class TestRoundTrip:
             assert service.offer_batch(good) == 10
             assert service.stats().seen == 10
 
+    def test_overlong_payload_rejected_before_journal(self, tmp_path):
+        """A record whose payload overflows its slot is refused before
+        the journal sees its batch, for the schema guard's reason: the
+        shards would reject it on every replay."""
+        from repro.storage.records import Record
+
+        with make_service(tmp_path / "svc") as service:
+            service.offer_batch(keyed_records(40))
+            depth = service.journal_depth
+            width = 32 - 24
+            batch = keyed_records(10) + [Record(key=77,
+                                                payload=b"x" * (width + 1))]
+            with pytest.raises(ValueError,
+                               match=f"record 77: its {width + 1}-byte "
+                                     f"payload .* {width}-byte"):
+                service.offer_batch(batch)
+            assert service.journal_depth == depth
+            assert service.stats().seen == 40
+            assert service.offer_batch(
+                [Record(key=78, payload=b"x" * width)]) == 1
+            assert service.stats().seen == 41
+
     def test_invalid_construction(self, tmp_path):
         with pytest.raises(ValueError):
             make_service(tmp_path / "a", shards=0)

@@ -84,6 +84,18 @@ def test_hard_kill_recovers_without_loss(tmp_path):
         assert len(service.sample(30)) == 30
 
 
+def test_shard_dying_with_a_query_queued_is_reasked(tmp_path):
+    """The crash command is still queued when the query is sent behind
+    it, so the gather's blocking receive is what sees the shard die."""
+    with make_process_service(tmp_path / "svc") as service:
+        service.offer_batch(keyed_records(600))
+        service.kill_shard(1)
+        keys = [record.key for record in service.sample(40)]
+        assert len(set(keys)) == 40 and all(0 <= key < 600 for key in keys)
+        assert service.recoveries == 1
+        assert service.stats().seen == 600
+
+
 def test_graceful_close_then_reopen(tmp_path):
     root = tmp_path / "svc"
     with make_process_service(root, seed=4) as service:

@@ -50,11 +50,12 @@ def main() -> None:
     for record in take(stream, STREAM):
         sample.offer(record)
     sample.check_invariants()
-    print(f"stream position: {sample.seen:,} records seen, "
-          f"{sample.samples_added:,} admitted, "
-          f"{sample.flushes} buffer flushes, "
-          f"{device.model.stats.seeks:,} head movements, "
-          f"{sample.clock:.1f} s of simulated disk time")
+    progress = sample.stats()
+    print(f"stream position: {progress.seen:,} records seen, "
+          f"{progress.samples_added:,} admitted, "
+          f"{progress.flushes} buffer flushes, "
+          f"{progress.io.seeks:,} head movements, "
+          f"{progress.clock:.1f} s of simulated disk time")
 
     # -- the reservoir is a true uniform sample at any instant ---------
     snapshot = sample.sample()
@@ -62,7 +63,7 @@ def main() -> None:
           f"(all distinct: {len({r.key for r in snapshot}) == len(snapshot)})")
 
     # -- query it with error bars ---------------------------------------
-    query = SampleQuery(snapshot, population_size=sample.seen)
+    query = SampleQuery(snapshot, population_size=progress.seen)
     average = query.avg()
     interval = average.interval(confidence=0.95)
     print(f"AVG(value) ~ {average.value:.3f} "
@@ -71,7 +72,7 @@ def main() -> None:
 
     selective = query.count(lambda r: r.value < 1.0)
     print(f"COUNT(value < 1)  ~ {selective.value:,.0f} of "
-          f"{sample.seen:,}  (truth ~ {sample.seen / 100:,.0f})")
+          f"{progress.seen:,}  (truth ~ {progress.seen / 100:,.0f})")
     assert interval.low < 50.0 < interval.high or _QUICK
 
 

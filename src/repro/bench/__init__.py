@@ -8,56 +8,20 @@ from .experiments import (
     experiment_2,
     experiment_3,
 )
-from .aqp import aqp_smoke, render_aqp_report
-from .laws import law_smoke, render_law_report
-from .perf import (
-    measure_ipc,
-    perf_smoke,
-    render_ipc_report,
-    render_report,
-    render_shard_report,
-    shard_smoke,
-    write_report,
-)
-from .pipeline import (
-    pipeline_smoke,
-    render_pipeline_report,
-    write_pipeline_report,
-)
-from .query import query_smoke, render_query_report
 from .report import ascii_chart, io_summary_table, throughput_table, to_csv
 from .runner import RunResult, SeriesPoint, run_until
-from .serve import render_serve_report, serve_smoke
 
 __all__ = [
     "ALTERNATIVE_NAMES",
     "ExperimentSpec",
     "RunResult",
     "SeriesPoint",
-    "aqp_smoke",
     "ascii_chart",
     "experiment_1",
     "experiment_2",
     "experiment_3",
     "io_summary_table",
-    "law_smoke",
-    "measure_ipc",
-    "perf_smoke",
-    "pipeline_smoke",
-    "query_smoke",
-    "render_aqp_report",
-    "render_ipc_report",
-    "render_law_report",
-    "render_pipeline_report",
-    "render_query_report",
-    "render_report",
-    "render_serve_report",
-    "render_shard_report",
     "run_until",
-    "serve_smoke",
-    "shard_smoke",
     "throughput_table",
     "to_csv",
-    "write_pipeline_report",
-    "write_report",
 ]

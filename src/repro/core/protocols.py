@@ -28,7 +28,7 @@ Method contract (normative; see docs/API.md for the narrative form):
     admitted (always ``len(records)`` under ``admission="always"``).
     This is the canonical batch verb; ``offer_many`` survives on
     :class:`~repro.reservoir.StreamReservoir` as the documented
-    list-only fast path, and as a deprecated alias elsewhere.
+    list-only fast path.
 ``sample(k=None) -> list[Record]``
     A uniform random sample of the stream seen so far: the full
     reservoir when ``k`` is ``None``, else a uniform ``k``-subset.

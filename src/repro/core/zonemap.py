@@ -28,7 +28,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ..obs.deprecation import warn_deprecated
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record
 from .geometric_file import GeometricFile
@@ -111,16 +110,6 @@ class ZoneMapIndex:
     def stats(self) -> ZoneMapStats:
         """Pruning statistics of the most recent :meth:`query`."""
         return self._last_stats
-
-    @property
-    def last_stats(self) -> ZoneMapStats:
-        """Deprecated: use :meth:`stats`."""
-        warn_deprecated("ZoneMapIndex.last_stats", "stats()")
-        return self._last_stats
-
-    @last_stats.setter
-    def last_stats(self, value: ZoneMapStats) -> None:
-        self._last_stats = value
 
     def instrument(self, registry, trace=None, *, name: str = "zone map") -> None:
         """Attach observers; each completed query emits ``zone_query``.

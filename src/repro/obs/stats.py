@@ -1,10 +1,7 @@
 """The unified ``stats()`` payload: :class:`ReservoirStats`.
 
-Before this module, cost accounting was scattered: ``DiskModel.stats``,
-``StripedBlockDevice.combined_stats()``, ``ZoneMapIndex.last_stats``,
-``BiasedGeometricFile.overflow_events``, plus ``seen`` /
-``samples_added`` / ``clock`` attributes on every reservoir.  Every
-public structure now answers one question the same way::
+Every public structure -- reservoirs, devices and indexes alike --
+answers one question the same way::
 
     stats = reservoir.stats()
     stats.samples_added, stats.clock, stats.io.seeks, stats.extra

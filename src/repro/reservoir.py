@@ -38,7 +38,6 @@ from typing import Literal
 
 import numpy as np
 
-from .obs.deprecation import warn_deprecated
 from .obs.stats import ReservoirStats
 from .storage.records import Record
 
@@ -263,7 +262,7 @@ class StreamReservoir(abc.ABC):
         #: disk-backed subclasses; None for purely in-memory paths.
         self._engine = None
         # Stream position (records offered) and admissions; exposed
-        # through stats() and the deprecated seen/samples_added shims.
+        # through stats().
         self._seen = 0
         self._samples_added = 0
         # Hot AQP subsample (repro.estimate.planner.HotSubsample),
@@ -445,35 +444,6 @@ class StreamReservoir(abc.ABC):
             counter.inc()
         if self._trace is not None:
             self._trace.emit(kind, self._obs_name, self._clock(), **fields)
-
-    # -- deprecated accessors ----------------------------------------------
-
-    @property
-    def seen(self) -> int:
-        """Deprecated: use ``stats().seen``."""
-        warn_deprecated("StreamReservoir.seen", "stats().seen")
-        return self._seen
-
-    @seen.setter
-    def seen(self, value: int) -> None:
-        self._seen = value
-
-    @property
-    def samples_added(self) -> int:
-        """Deprecated: use ``stats().samples_added``."""
-        warn_deprecated("StreamReservoir.samples_added",
-                        "stats().samples_added")
-        return self._samples_added
-
-    @samples_added.setter
-    def samples_added(self, value: int) -> None:
-        self._samples_added = value
-
-    @property
-    def clock(self) -> float:
-        """Deprecated: use ``stats().clock``."""
-        warn_deprecated("StreamReservoir.clock", "stats().clock")
-        return self._clock()
 
     # -- hot AQP subsample ---------------------------------------------------
 
@@ -673,10 +643,11 @@ class StreamReservoir(abc.ABC):
 
         Args:
             k: optionally thin to a uniform ``k``-subset.
-            rng: optional ``numpy.random.Generator`` for the subset
-                draw (and, in columnar overrides, the deferred-eviction
-                draw), so queries need not perturb the structure's own
-                RNG stream.
+            rng: optional ``numpy.random.Generator`` for the deferred-
+                eviction and subset draws, so queries need not perturb
+                the structure's own RNG stream.  Here the eviction draw
+                runs inside :meth:`sample` on a ``random.Random``
+                seeded from ``rng``.
         """
         from .storage.recordbatch import RecordBatch
 
@@ -684,7 +655,9 @@ class StreamReservoir(abc.ABC):
         if schema is None:
             raise TypeError(f"{self.name} has no record schema; "
                             "sample_batch is unavailable")
-        batch = RecordBatch.from_records(schema, self.sample())
+        query_rng = (None if rng is None
+                     else random.Random(int(rng.integers(2 ** 63))))
+        batch = RecordBatch.from_records(schema, self.sample(rng=query_rng))
         return self._thin_batch(batch, k, rng)
 
     def snapshot_batch(self, k: int | None = None, *, rng=None):

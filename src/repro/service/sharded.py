@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from ..core.geometric_file import GeometricFile, GeometricFileConfig
 from ..core.multi import MultiFileConfig, MultipleGeometricFiles
 from ..estimate import BatchQuery, Estimate, SnapshotEstimator
 from ..obs import ReservoirStats, aggregate_stats, stats_from_dict
-from ..obs.deprecation import warn_deprecated
 from ..storage.device import DeviceSpec
 from ..storage.disk_model import DiskParameters
 from ..storage.recordbatch import RecordBatch
@@ -280,11 +279,6 @@ class ShardedReservoir:
                 self._post(shard_id, ("batch", None, part))
         self._offered += len(records)
         return len(records)
-
-    def offer_many(self, records: Sequence[Record | None]) -> int:
-        """Deprecated alias for :meth:`offer_batch`."""
-        warn_deprecated("ShardedReservoir.offer_many", "offer_batch")
-        return self.offer_batch(records)
 
     def ingest(self, n: int) -> None:
         """Count-only ingestion, split evenly across shards."""

@@ -25,7 +25,6 @@ a single simulated or real device.
 
 from __future__ import annotations
 
-from ..obs.deprecation import warn_deprecated
 from .disk_model import DiskModel, DiskParameters, DiskStats
 
 
@@ -127,11 +126,6 @@ class StripedBlockDevice:
             total.seek_seconds += s.seek_seconds
             total.transfer_seconds += s.transfer_seconds
         return total
-
-    def combined_stats(self) -> DiskStats:
-        """Deprecated alias for :meth:`stats`."""
-        warn_deprecated("StripedBlockDevice.combined_stats()", "stats()")
-        return self.stats()
 
     def instrument(self, registry, *, name: str = "disk") -> None:
         """Mirror every spindle's counters into ``registry``.

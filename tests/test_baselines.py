@@ -104,7 +104,7 @@ class TestCommonBehaviour:
     def test_count_only_mode(self, cls):
         r = make(cls, retain_records=False, admission="always")
         r.ingest(5000)
-        assert r.samples_added == 5000
+        assert r.stats().samples_added == 5000
         with pytest.raises(TypeError):
             r.sample()
 

@@ -1,7 +1,5 @@
 """Tests for the benchmark harness (runner, experiment specs, reports, CLI)."""
 
-import json
-
 import pytest
 
 from repro.bench import (
@@ -162,24 +160,6 @@ class TestCLI:
                        "--csv", str(path), "--no-chart"])
         assert rc == 0
         assert path.read_text().startswith("alternative,clock_seconds")
-
-
-class TestReportFlag:
-    def test_report_runs_without_experiment(self, tmp_path, capsys):
-        path = tmp_path / "pipe.json"
-        rc = cli_main(["--report", f"pipeline={path}"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert f"wrote {path}" in out
-        payload = json.loads(path.read_text())
-        assert payload["benchmark"] == "pipelined flush smoke"
-
-    def test_report_default_path(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        rc = cli_main(["--report", "pipeline"])
-        assert rc == 0
-        capsys.readouterr()
-        assert (tmp_path / "BENCH_pipeline.json").exists()
 
 
 class TestCLIErrors:

@@ -53,8 +53,8 @@ class TestRoundTrip:
         gf = make_geometric_file(capacity=500, buffer_capacity=50)
         feed(gf, 2345)
         restored = round_trip(gf)
-        assert restored.seen == gf.seen
-        assert restored.samples_added == gf.samples_added
+        assert restored.stats().seen == gf.stats().seen
+        assert restored.stats().samples_added == gf.stats().samples_added
         assert restored.flushes == gf.flushes
         assert restored.disk_size == gf.disk_size
         assert restored.buffer.count == gf.buffer.count

@@ -8,6 +8,7 @@ totals exactly.
 """
 
 import json
+import re
 
 import pytest
 
@@ -90,21 +91,6 @@ class TestSmokeInvocation:
         assert '"experiment"' not in out
 
 
-class TestAqpReport:
-    def test_report_aqp_writes_gated_json(self, tmp_path, capsys):
-        path = tmp_path / "aqp.json"
-        rc = main(["--report", f"aqp={path}"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "tiered AQP planner" in out
-        assert f"wrote {path}" in out
-        report = json.loads(path.read_text())
-        gates = report["gates"]
-        assert set(gates) >= {"speedup", "hit_rate", "bit_exact", "pass"}
-        assert report["bit_exact"]["samples"] is True
-        assert report["planner"]["queries"] == report["config"]["queries"]
-
-
 class TestParser:
     def test_flags_are_registered(self):
         parser = build_parser()
@@ -118,34 +104,14 @@ class TestParser:
         with pytest.raises(ValueError):
             main(["fig7a", "--scale", "-1"])
 
-    def test_report_flag_is_repeatable(self):
-        parser = build_parser()
-        args = parser.parse_args(["--report", "ingest",
-                                  "--report", "query=q.json"])
-        assert args.reports == ["ingest", "query=q.json"]
-
-    def test_serve_is_a_valid_experiment_choice(self):
-        parser = build_parser()
-        assert parser.parse_args(["serve"]).experiment == "serve"
-
     def test_deprecated_flags_are_hidden_from_help(self):
+        """Help lists the three panels and the eight run flags, and no
+        benchmark-report flag or alias."""
         text = build_parser().format_help()
-        assert "--report" in text
-        for legacy in ("--perf-smoke", "--query-report", "--pipeline",
-                       "--shard-report"):
-            assert legacy not in text, legacy
-
-    def test_unknown_report_kind_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--report", "turbo"])
-
-    def test_aqp_is_a_registered_report_kind(self):
-        from repro.cli import REPORT_KINDS, default_report_path
-        assert "aqp" in REPORT_KINDS
-        assert default_report_path("aqp") == "BENCH_aqp.json"
-        parser = build_parser()
-        args = parser.parse_args(["--report", "aqp=out.json"])
-        assert args.reports == ["aqp=out.json"]
+        assert set(re.findall(r"--[a-z-]+", text)) == {
+            "--help", "--scale", "--batch-size", "--seed", "--only",
+            "--csv", "--metrics", "--trace", "--no-chart"}
+        assert "{fig7a,fig7b,fig7c}" in text
 
     def test_experiment_required_without_reports(self):
         with pytest.raises(SystemExit):

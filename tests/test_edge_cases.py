@@ -102,7 +102,7 @@ class TestGeometricFileEdges:
         with FileBlockDevice(tmp_path / "g.bin", blocks,
                              TEST_BLOCK) as device:
             gf = GeometricFile(device, config)
-            assert gf.clock == 0.0
+            assert gf.stats().clock == 0.0
 
     def test_huge_ratio_ladder_operations_are_fast(self):
         """The head-index refactor: a deep ladder (ratio 1000) must

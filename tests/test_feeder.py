@@ -20,7 +20,7 @@ class TestFeedStream:
         gf = make_geometric_file(capacity=200, buffer_capacity=20)
         consumed = feed_stream(records(5000), gf)
         assert consumed == 5000
-        assert gf.seen == 5000
+        assert gf.stats().seen == 5000
         gf.check_invariants()
         assert len(gf.sample()) == 200
 
@@ -29,7 +29,7 @@ class TestFeedStream:
         consumed = feed_stream(CountingStream(iter(records(10 ** 6))), gf,
                                max_records=3000)
         assert consumed == 3000
-        assert gf.seen == 3000
+        assert gf.stats().seen == 3000
 
     def test_stream_shorter_than_capacity(self):
         gf = make_geometric_file(capacity=500, buffer_capacity=50)
@@ -51,7 +51,7 @@ class TestFeedStream:
             gf = make_geometric_file(capacity=capacity, buffer_capacity=10,
                                      retain_records=False, seed=seed)
             feed_stream(records(stream), gf)
-            admitted.append(gf.samples_added)
+            admitted.append(gf.stats().samples_added)
         expected = capacity + sum(capacity / i
                                   for i in range(capacity + 1, stream + 1))
         mean = sum(admitted) / len(admitted)
@@ -84,4 +84,4 @@ class TestFeedStream:
         feed_stream(records(100), gf)          # exactly the fill
         consumed = feed_stream(records(1, start=100), gf, max_records=1)
         assert consumed <= 1
-        assert gf.seen in (100, 101)
+        assert gf.stats().seen in (100, 101)

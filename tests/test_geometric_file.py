@@ -286,13 +286,13 @@ class TestModes:
         feed(gf, 10000)
         # Expected admissions: 1000 + sum_{i>1000} 1000/i ~ 3302.
         expected = 1000 + sum(1000 / i for i in range(1001, 10001))
-        assert gf.samples_added == pytest.approx(expected, rel=0.1)
+        assert gf.stats().samples_added == pytest.approx(expected, rel=0.1)
 
     def test_always_admission_takes_everything(self):
         gf = make_geometric_file(capacity=1000, buffer_capacity=50,
                                  admission="always")
         feed(gf, 3000)
-        assert gf.samples_added == 3000
+        assert gf.stats().samples_added == 3000
 
     def test_mid_flush_sample_is_full_size(self):
         gf = make_geometric_file(capacity=1000, buffer_capacity=50,

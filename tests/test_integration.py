@@ -72,7 +72,7 @@ class TestStreamToQueryPipeline:
         cutoff = records[-1].timestamp * 0.95
         recent = list(index.query(cutoff, records[-1].timestamp + 1))
         assert all(r.timestamp >= cutoff for r in recent)
-        assert index.last_stats.pruned_fraction > 0.3
+        assert index.stats().pruned_fraction > 0.3
 
 
 class TestRealFileBackend:

@@ -207,6 +207,30 @@ class TestUniformTwinParity:
         assert a._clock() == b._clock()
         assert a.flushes == b.flushes
 
+    def test_weighted_gate_configuration_twins(self):
+        """The file and stream the weighted-ingest gate in
+        ``benchmarks/perf_smoke.py`` times: 60k records in 2000-record
+        batches into a 2000-record file at 50 B records."""
+        values = np.random.default_rng(0).uniform(0.0, 1000.0, size=60_000)
+        records = [Record(key=i, value=float(v), timestamp=float(i))
+                   for i, v in enumerate(values)]
+        twins = []
+        for law_kw in ({}, {"law": "uniform"}):
+            config = GeometricFileConfig(
+                capacity=2000, buffer_capacity=200, record_size=50,
+                retain_records=True, **law_kw)
+            blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
+            gf = GeometricFile(
+                SimulatedBlockDevice(blocks, small_disk_params()), config,
+                seed=0)
+            for start in range(0, 60_000, 2000):
+                gf.offer_many(records[start:start + 2000])
+            twins.append(gf)
+        a, b = twins
+        assert [r.key for r in a.sample()] == [r.key for r in b.sample()]
+        assert a.device.stats() == b.device.stats()
+        assert a._clock() == b._clock()
+
     def test_multi_file_twins(self):
         records = valued_records(5000)
         twins = []

@@ -3,8 +3,7 @@
 A library a downstream user adopts needs its advertised names to exist,
 be importable from the top level, and carry documentation.  These tests
 pin that contract, for the top-level package and for every subpackage
-that declares an ``__all__``, and pin the deprecation shims left behind
-by the unified :class:`repro.Reservoir` protocol redesign.
+that declares an ``__all__``.
 """
 
 import importlib
@@ -104,6 +103,15 @@ class TestSubpackageSurfaces:
         assert sorted(module.__all__) == list(module.__all__), modname
         assert len(set(module.__all__)) == len(module.__all__), modname
 
+    def test_bench_exports_only_the_paper_experiments(self):
+        import repro.bench
+
+        assert repro.bench.__all__ == [
+            "ALTERNATIVE_NAMES", "ExperimentSpec", "RunResult",
+            "SeriesPoint", "ascii_chart", "experiment_1", "experiment_2",
+            "experiment_3", "io_summary_table", "run_until",
+            "throughput_table", "to_csv"]
+
     @pytest.mark.parametrize("modname", SUBPACKAGES)
     def test_public_classes_are_advertised(self, modname):
         """No stealth classes: a class defined inside the package and
@@ -114,98 +122,3 @@ class TestSubpackageSurfaces:
             if (inspect.isclass(obj) and not name.startswith("_")
                     and obj.__module__.startswith(modname)):
                 assert name in module.__all__, f"{modname}.{name}"
-
-
-class TestDeprecatedAliases:
-    """The shims left behind by the protocol unification still work and
-    still warn (once per process; reset between assertions)."""
-
-    def _fresh_warnings(self):
-        from repro.obs import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-
-    def test_sharded_offer_many_warns_and_forwards(self, tmp_path):
-        from repro.core.geometric_file import GeometricFileConfig
-        from repro.service import ShardedReservoir
-        from repro.storage import Record
-
-        self._fresh_warnings()
-        config = GeometricFileConfig(capacity=64, buffer_capacity=16,
-                                     record_size=50, retain_records=True,
-                                     admission="uniform")
-        service = ShardedReservoir(str(tmp_path), config, shards=2,
-                                   pool="inline", seed=7)
-        try:
-            records = [Record(key=i, value=float(i), timestamp=0.0)
-                       for i in range(8)]
-            with pytest.deprecated_call():
-                admitted = service.offer_many(records)
-            assert admitted == 8
-            assert service.snapshot(8)[1] == 8
-        finally:
-            service.close()
-
-    def test_sharded_offer_many_warns_exactly_once_per_process(
-            self, tmp_path):
-        """The shim dedupes: the first call warns, every later call is
-        silent (simplefilter('error') would escalate a repeat)."""
-        import warnings
-
-        from repro.core.geometric_file import GeometricFileConfig
-        from repro.service import ShardedReservoir
-        from repro.storage import Record
-
-        self._fresh_warnings()
-        config = GeometricFileConfig(capacity=64, buffer_capacity=16,
-                                     record_size=50, retain_records=True,
-                                     admission="uniform")
-        service = ShardedReservoir(str(tmp_path), config, shards=2,
-                                   pool="inline", seed=7)
-        try:
-            records = [Record(key=i, value=float(i), timestamp=0.0)
-                       for i in range(8)]
-            with pytest.deprecated_call() as captured:
-                service.offer_many(records)
-            assert len(captured.list) == 1
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                admitted = service.offer_many(
-                    [Record(key=8 + i, value=float(i), timestamp=0.0)
-                     for i in range(8)])
-            assert admitted == 8
-            assert service.stats().seen == 16
-        finally:
-            service.close()
-
-    def test_cli_alias_flags_warn_and_map_to_report_kinds(self):
-        from repro.cli import _resolve_reports, build_parser
-
-        parser = build_parser()
-        cases = [
-            (["--perf-smoke"], ("ingest", "BENCH_ingest.json")),
-            (["--perf-smoke", "custom.json"], ("ingest", "custom.json")),
-            (["--query-report"], ("query", "BENCH_query.json")),
-            (["--pipeline"], ("pipeline", "BENCH_pipeline.json")),
-            (["--shard-report", "s.json"], ("shard", "s.json")),
-        ]
-        for argv, expected in cases:
-            self._fresh_warnings()
-            args = parser.parse_args(argv)
-            with pytest.deprecated_call():
-                reports = _resolve_reports(parser, args)
-            assert reports == [expected], argv
-
-    def test_report_flag_does_not_warn(self):
-        import warnings
-
-        from repro.cli import _resolve_reports, build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["--report", "ingest",
-                                  "--report", "serve=s.json"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            reports = _resolve_reports(parser, args)
-        assert reports == [("ingest", "BENCH_ingest.json"),
-                           ("serve", "s.json")]

@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_geometric_file
+from conftest import make_geometric_file, make_multi_file, small_disk_params
+from repro.baselines import (
+    DiskReservoirConfig,
+    LocalOverwriteReservoir,
+    ScanReservoir,
+    VirtualMemoryReservoir,
+)
 from repro.reservoir import (
     StreamReservoir,
     draw_victim_counts,
     hypergeometric,
 )
+from repro.storage.device import SimulatedBlockDevice
 from repro.storage.records import Record
 
 
@@ -32,17 +39,13 @@ class _CountingReservoir(StreamReservoir):
     def _admit_count(self, n):
         self.admitted += n
 
-    @property
-    def clock(self):
-        return 0.0
-
 
 class TestAdmissionModes:
     def test_always_admits_everything(self):
         r = _CountingReservoir(10, admission="always", seed=0)
         for i in range(100):
             r.offer(Record(key=i))
-        assert r.admitted == r.samples_added == 100
+        assert r.admitted == r.stats().samples_added == 100
 
     def test_uniform_admits_n_over_i(self):
         r = _CountingReservoir(100, admission="uniform", seed=0)
@@ -79,7 +82,7 @@ class TestAdmissionModes:
     def test_zero_ingest_is_noop(self):
         r = _CountingReservoir(10)
         r.ingest(0)
-        assert r.seen == 0
+        assert r.stats().seen == 0
 
 
 class TestApplyPending:
@@ -266,3 +269,51 @@ class TestVictimDrawBeyondNumpyLimit:
         assert all(0 <= c <= live for c, live in zip(counts, lives))
         # Proportionality sanity: the giant cohort takes ~99 % of hits.
         assert counts[0] > 0.97 * 10_485_760
+
+
+def _baseline(cls, columnar, seed):
+    config = DiskReservoirConfig(capacity=2000, buffer_capacity=200,
+                                 record_size=40, retain_records=True,
+                                 admission="uniform", columnar=columnar)
+    blocks = cls.required_blocks(config, 4096)
+    return cls(SimulatedBlockDevice(blocks, small_disk_params()), config,
+               seed=seed)
+
+
+QUERY_RNG_STRUCTURES = {
+    "geo-list": lambda seed: make_geometric_file(2000, 200, seed=seed),
+    "geo-columnar": lambda seed: make_geometric_file(
+        2000, 200, seed=seed, columnar=True),
+    "multi-list": lambda seed: make_multi_file(2000, 200, seed=seed),
+    "multi-columnar": lambda seed: make_multi_file(
+        2000, 200, seed=seed, columnar=True),
+    "scan-list": lambda seed: _baseline(ScanReservoir, False, seed),
+    "scan-columnar": lambda seed: _baseline(ScanReservoir, True, seed),
+    "overwrite-list": lambda seed: _baseline(
+        LocalOverwriteReservoir, False, seed),
+    "overwrite-columnar": lambda seed: _baseline(
+        LocalOverwriteReservoir, True, seed),
+    "vm-list": lambda seed: _baseline(VirtualMemoryReservoir, False, seed),
+}
+
+
+class TestQueryRngLeavesIngestAlone:
+    """A read given ``rng=`` draws nothing from the structure's own
+    generators: a twin that was queried mid-stream ends the stream in
+    the same state as one that was not."""
+
+    @pytest.mark.parametrize("verb", ["sample_batch", "snapshot_batch"])
+    @pytest.mark.parametrize("name", sorted(QUERY_RNG_STRUCTURES))
+    def test_queried_twin_matches_unqueried(self, name, verb):
+        make = QUERY_RNG_STRUCTURES[name]
+        records = [Record(key=i, value=float(i)) for i in range(20_000)]
+        queried, untouched = make(7), make(7)
+        for structure in (queried, untouched):
+            structure.offer_many(records[:5000])
+        getattr(queried, verb)(100, rng=np.random.default_rng(123))
+        for structure in (queried, untouched):
+            structure.offer_many(records[5000:])
+        assert ([r.key for r in queried.sample()]
+                == [r.key for r in untouched.sample()])
+        assert queried.device.stats() == untouched.device.stats()
+        assert queried.stats().clock == untouched.stats().clock

@@ -62,7 +62,7 @@ class TestParallelism:
         dev = make(n_disks=4)
         write_zeros(dev, 0, 4000)
         read_discard(dev, 0, 4000)
-        stats = dev.combined_stats()
+        stats = dev.stats()
         assert stats.blocks_written == 4000
         assert stats.blocks_read == 4000
 

@@ -22,10 +22,11 @@ from repro import (
 from repro.streams import take
 
 # REPRO_EXAMPLE_QUICK=1 shrinks the workload ~50x (used by CI smoke
-# tests); the output narrative is unchanged.
+# tests); the output narrative is unchanged, and the buffer stays large
+# enough that every flush still writes disk segments.
 _QUICK = bool(os.environ.get("REPRO_EXAMPLE_QUICK"))
-N = 20_000 if _QUICK else 1_000_000
-B = 500 if _QUICK else 10_000
+N = 50_000 if _QUICK else 1_000_000
+B = 5_000 if _QUICK else 10_000
 STREAM = 100_000 if _QUICK else 5_000_000
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..core.buffer import SampleBuffer
 from ..pipeline import SCHEDULER_NAMES, FlushEngine, FlushPlan
 from ..reservoir import AdmissionMode, StreamReservoir
-from ..storage.device import BlockDevice, SimulatedBlockDevice, write_zeros
+from ..storage.device import BlockDevice, write_zeros
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record, RecordSchema
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from ..reservoir import StreamReservoir
 from ..sampling.weights import WeightFunction, uniform_weight
 from ..storage.device import BlockDevice
 from ..storage.records import Record
@@ -52,7 +53,13 @@ class BiasedSamplingMixin:
     startup/flush machinery of the unbiased structures
     (``buffer``, ``in_startup``, ``_startup_sizes``, ``_startup_flush``,
     ``_flush``, ``_new_ledger``) and a :meth:`_biased_ledgers` iterator.
+
+    Weights ride lists parallel to each ledger's records, so a biased
+    host keeps record lists (not slabs) in its buffer and ledgers, and
+    reads materialise them.
     """
+
+    _slab_ledgers = False
 
     # -- host hook ----------------------------------------------------------
 
@@ -131,6 +138,27 @@ class BiasedSamplingMixin:
         raise TypeError(
             "biased sampling needs each record's weight; use offer()"
         )
+
+    # -- reads ------------------------------------------------------------------
+
+    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
+        """The resident records, each pending one displacing a uniform
+        disk record (Algorithm 4 evicts uniformly); optionally thinned
+        to a uniform ``k``-subset.  ``rng`` is a ``random.Random``."""
+        self.flush_barrier()
+        gen = rng if rng is not None else self._rng
+        disk = [record for ledger in self._biased_ledgers()
+                for record in ledger.records or ()]
+        pending = list(self.buffer)
+        if self.in_startup:
+            full = disk + pending
+        else:
+            full = StreamReservoir.apply_pending(disk, pending, gen)
+        return self._thin_records(full, k, rng)
+
+    def sample_batch(self, k: int | None = None, *, rng=None):
+        """:meth:`sample` encoded as one ``RecordBatch``."""
+        return StreamReservoir.sample_batch(self, k, rng=rng)
 
     # -- weighted views -----------------------------------------------------------
 

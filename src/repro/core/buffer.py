@@ -67,13 +67,19 @@ class SampleBuffer:
             :meth:`drain` (via :meth:`take_aux`); the Algorithm 2
             replacement verbs are uniform-law-only and refuse an
             aux-carrying buffer.
+        numpy_shuffle: drain a slab through one numpy ``permutation``
+            seeded from ``rng`` (one ``getrandbits(64)`` per drain)
+            instead of a Python shuffle of an index list.  The
+            geometric structures use it; the baselines keep the Python
+            shuffle, which consumes ``rng`` exactly as their record-list
+            twin does.
     """
 
     def __init__(self, capacity: int, rng: random.Random,
                  *, retain_records: bool = True,
                  np_rng: np.random.Generator | None = None,
                  schema: RecordSchema | None = None,
-                 aux_width: int = 0) -> None:
+                 aux_width: int = 0, numpy_shuffle: bool = False) -> None:
         if capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
         if schema is not None and schema.weighted:
@@ -100,6 +106,7 @@ class SampleBuffer:
             np.zeros((capacity, aux_width)) if aux_width else None
         )
         self._drained_aux: np.ndarray | None = None
+        self._numpy_shuffle = numpy_shuffle
         self._count = 0
         self._scale = 1.0
 
@@ -314,16 +321,7 @@ class SampleBuffer:
         if self._aux is not None:
             raise TypeError("aux-carrying buffers append per record")
         if self._slab is not None:
-            encode = self._encode_row
-            slab = self._slab
-            count = self._count
-            for i, record in enumerate(records):
-                if record is None:
-                    raise ValueError(
-                        "record-retaining buffer needs the record")
-                slab[count + i] = encode(record)
-            self._count = count + n
-            return
+            raise TypeError("buffer is columnar; use extend_batch")
         if self._records is not None:
             if any(record is None for record in records):
                 raise ValueError("record-retaining buffer needs the record")
@@ -577,13 +575,17 @@ class SampleBuffer:
         """
         if self._slab is not None:
             count = self._count
-            # Shuffle an index list through the *same* random.Random
-            # the object path shuffles its record list with: both modes
-            # consume identical RNG streams, so flush cadence and every
-            # downstream draw stay bit-exact between them.
-            order = list(range(count))
-            self._rng.shuffle(order)
-            index = np.asarray(order, dtype=np.intp)
+            if self._numpy_shuffle:
+                index = np.random.default_rng(
+                    self._rng.getrandbits(64)).permutation(count)
+            else:
+                # Shuffle an index list through the *same* random.Random
+                # the object path shuffles its record list with: both
+                # modes consume identical RNG streams, so flush cadence
+                # and every downstream draw stay bit-exact between them.
+                order = list(range(count))
+                self._rng.shuffle(order)
+                index = np.asarray(order, dtype=np.intp)
             batch = RecordBatch(self._schema, self._slab[:count][index])
             if self._aux is not None:
                 self._drained_aux = self._aux[:count][index]
@@ -619,6 +621,24 @@ class SampleBuffer:
         self._weights = [] if self._weights is not None else None
         self._scale = 1.0
         return records, weights, count
+
+    def restore_batch(self, batch: RecordBatch,
+                      aux: np.ndarray | None = None) -> None:
+        """Refill an empty slab buffer with saved rows (checkpoint
+        restore): one slice copy of the rows and of their aux rows."""
+        if self._slab is None:
+            raise TypeError("buffer is not columnar; use append")
+        if self._count:
+            raise ValueError("restore_batch needs an empty buffer")
+        if (aux is None) != (self._aux is None):
+            raise TypeError("aux rows and buffer aux_width must agree")
+        n = len(batch)
+        if n > self.capacity:
+            raise ValueError("restore_batch would overfill the buffer")
+        self._slab[:n] = batch.array
+        if aux is not None:
+            self._aux[:n] = aux
+        self._count = n
 
     def take_aux(self) -> np.ndarray | None:
         """Claim the aux rows of the last :meth:`drain` (one shot).

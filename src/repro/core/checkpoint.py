@@ -16,7 +16,7 @@ Format version 3.  Counters, layout, law and RNG state, the caller's
 ``meta`` and the buffer (at most ``B`` records, base64 of its slab)
 are the manifest.  A ledger's records live in its slab: row ``i`` is
 record ``i`` packed with ``RecordSchema(record_size).dtype`` (the codec
-the disk segments, the shared-memory rings and the columnar engine
+the disk segments, the shared-memory rings and the ledgers' slabs
 share), followed by its stored weight (biased structures) and its law
 aux columns, both float64, so every float, including A-ExpJ's ``-inf``
 log keys, round-trips bit-exactly.  The manifest names each ledger's
@@ -96,14 +96,14 @@ def _pack_records(schema: RecordSchema, records) -> str | None:
 
 
 def _unpack_records(schema: RecordSchema, text: str | None, count: int):
-    """Inverse of :func:`_pack_records`, as a record list."""
+    """Inverse of :func:`_pack_records`, as a read-only batch."""
     if text is None:
         return None
     batch = RecordBatch.from_bytes(schema, base64.b64decode(text))
     if len(batch) != count:
         raise ValueError(f"checkpoint holds {len(batch)} records where "
                          f"its counters say {count}")
-    return batch.to_records()
+    return batch
 
 
 def _pack_floats(values) -> str | None:
@@ -154,13 +154,13 @@ class _RowLayout:
             rows["aux"] = ledger.aux[start:stop]
         return rows.tobytes()
 
-    def unpack(self, data: bytes, live: int, columnar: bool):
+    def unpack(self, data: bytes, live: int):
         """(records, weights, aux) of the first ``live`` rows: a
-        writable :class:`RecordBatch` for columnar structures, else a
-        record list."""
+        writable :class:`RecordBatch`, or a record list for the biased
+        structures, which keep weights beside record lists."""
         rows = np.frombuffer(data, self.dtype, count=live)
         batch = RecordBatch(self.schema, rows["record"])
-        records = batch.copy() if columnar else batch.to_records()
+        records = batch.to_records() if self.weighted else batch.copy()
         weights = rows["weight"].tolist() if self.weighted else None
         aux = rows["aux"].copy() if self.aux_width else None
         return records, weights, aux
@@ -348,18 +348,15 @@ def _decode_ledger(state: dict, gf, layout: _RowLayout,
             raise ValueError(
                 f"slab {name} row {ledger.live - 1} differs from the row "
                 f"its manifest recorded")
-        # Columnar structures keep RecordBatch ledgers (and with them
-        # the pure-array query path); list-mode ones get record objects.
         ledger.records, ledger.weights, ledger.aux = layout.unpack(
-            data, ledger.live, gf.columnar)
+            data, ledger.live)
         if "file" in slab:
             slabs.adopt(ledger, slab["file"], rows)
     elif gf.config.retain_records:
         if ledger.live:
             raise ValueError(f"ledger {ledger.ident} has {ledger.live} "
                              f"live records but no slab")
-        ledger.records, ledger.weights, ledger.aux = layout.unpack(
-            b"", 0, gf.columnar)
+        ledger.records, ledger.weights, ledger.aux = layout.unpack(b"", 0)
     ledger.stack_balance = state["stack_balance"]
     ledger.stack_capacity = state["stack_capacity"]
     ledger.overflowed = False
@@ -492,6 +489,9 @@ def load_geometric_file(source: IO[str], device: BlockDevice,
         raise ValueError(f"unsupported checkpoint version {version!r} "
                          f"(this build reads version {FORMAT_VERSION})")
     kind = state["kind"]
+    # Manifests from builds with a record-list layout name a
+    # ``columnar`` option; every layout restores to the same slabs.
+    state["config"].pop("columnar", None)
     if kind in ("BiasedGeometricFile", "BiasedMultipleGeometricFiles"):
         if weight_fn is None:
             raise ValueError("restoring a biased file requires weight_fn")
@@ -542,8 +542,12 @@ def load_geometric_file(source: IO[str], device: BlockDevice,
         buffer.append_count(state["buffer_count"])
     else:
         aux = _unpack_aux(state["buffer_aux"], buffer.aux_width)
-        for index, record in enumerate(records):
-            buffer.append(record, aux=None if aux is None else aux[index])
+        if buffer.columnar:
+            buffer.restore_batch(records, aux)
+        else:
+            for index, record in enumerate(records.to_records()):
+                buffer.append(record,
+                              aux=None if aux is None else aux[index])
         # Stored weights and their epoch factor go back verbatim, so the
         # next scale_weights() repeats the saved buffer's arithmetic.
         weights = _unpack_floats(state["buffer_weights"])

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..pipeline import SCHEDULER_NAMES, FlushEngine, FlushPlan
 from ..reservoir import (
     AdmissionMode,
@@ -39,11 +37,7 @@ from ..reservoir import (
     draw_victim_counts_array,
 )
 from ..sampling.laws import LAW_NAMES, make_law
-from ..storage.device import (
-    BlockDevice,
-    SimulatedBlockDevice,
-    device_stores_bytes,
-)
+from ..storage.device import BlockDevice, device_stores_bytes
 from ..storage.extents import Extent, ExtentAllocator
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record, RecordSchema
@@ -67,8 +61,13 @@ class GeometricFileConfig:
         stack_multiplier: stack region size as a multiple of
             ``sqrt(B)``; the paper picks 3 for a ~1e-9 overflow chance.
         retain_records: keep actual record payloads in memory ledgers
-            (tests / small runs).  Count-only mode powers paper-scale
-            benchmarks.
+            (tests / small runs).  The buffer is then a structured-array
+            slab and every ledger a
+            :class:`~repro.storage.recordbatch.RecordBatch`; flushes
+            encode whole segments in one call (real bytes on
+            byte-storing devices) and reads gather rows, so records
+            exist as objects only at the API edge.  Count-only mode
+            powers paper-scale benchmarks.
         admission: see :class:`~repro.reservoir.StreamReservoir`.
         extra_seeks_per_segment: additional random head movements
             charged per segment write, covering unaligned-boundary
@@ -76,15 +75,6 @@ class GeometricFileConfig:
             The default of 2 lands the total at the paper's "around
             four disk seeks to write" per segment (Section 5.1);
             set to 0 to model perfectly aligned segments.
-        columnar: run the columnar record engine: the buffer becomes a
-            structured-array slab, ledgers hold
-            :class:`~repro.storage.recordbatch.RecordBatch` slices,
-            flushes encode whole segments in one call (and write real
-            bytes on byte-storing devices), and ``sample_batch`` /
-            ``snapshot_batch`` answer queries without materialising
-            record objects.  Implies ``retain_records``.  Every I/O
-            charge is identical to the scalar path (tested bit-exactly
-            against :class:`~repro.storage.disk_model.DiskStats`).
         pipeline: run flushes on a background writer thread (double
             buffering: ingestion refills a fresh buffer while the
             writer drains the sealed one).  Off by default; the
@@ -119,7 +109,6 @@ class GeometricFileConfig:
     retain_records: bool = False
     admission: AdmissionMode = "always"
     extra_seeks_per_segment: int = 2
-    columnar: bool = False
     pipeline: bool = False
     io_scheduler: str = "fifo"
     stream_rate: float | None = None
@@ -127,10 +116,6 @@ class GeometricFileConfig:
     law_params: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.columnar and not self.retain_records:
-            # Columnar mode *is* a record-retention mode; forcing the
-            # flag keeps every existing retain_records check truthful.
-            object.__setattr__(self, "retain_records", True)
         if self.law not in LAW_NAMES:
             raise ValueError(f"unknown sampling law {self.law!r}; "
                              f"expected one of {LAW_NAMES}")
@@ -144,7 +129,7 @@ class GeometricFileConfig:
         if self.law != "uniform" and not self.retain_records:
             raise ValueError(
                 f"law {self.law!r} picks victims by record content; "
-                "set retain_records=True (or columnar=True)")
+                "set retain_records=True")
         if self.buffer_capacity < 2:
             raise ValueError("buffer must hold at least two records")
         if self.capacity <= self.buffer_capacity:
@@ -192,6 +177,9 @@ class GeometricFile(StreamReservoir):
     """
 
     name = "geo file"
+    #: Retained records live in slabs; the biased subclass, which keeps
+    #: a weight beside each record, keeps record lists.
+    _slab_ledgers = True
 
     def __init__(self, device: BlockDevice, config: GeometricFileConfig,
                  *, seed: int | None = 0, weight_fn=None) -> None:
@@ -222,16 +210,16 @@ class GeometricFile(StreamReservoir):
         # per-segment ceil-division is pure overhead.
         self._segment_blocks = [self._blocks_for(size)
                                 for size in self.ladder.segment_sizes]
+        slabs = config.retain_records and self._slab_ledgers
         self.buffer = SampleBuffer(config.buffer_capacity, self._rng,
                                    retain_records=config.retain_records,
                                    np_rng=self._np_rng,
-                                   schema=(self.schema if config.columnar
-                                           else None),
-                                   aux_width=law.aux_width)
+                                   schema=self.schema if slabs else None,
+                                   aux_width=law.aux_width,
+                                   numpy_shuffle=True)
         #: Encode real segment payloads only when the device can hand
         #: them back; cost-only devices keep the write_zeros charge.
-        self._store_bytes = (config.columnar
-                             and device_stores_bytes(device))
+        self._store_bytes = slabs and device_stores_bytes(device)
         self.subsamples: list[SubsampleLedger] = []
         self._victim_scratch = VictimScratch()
         self._startup_sizes = startup_fill_sizes(
@@ -293,59 +281,53 @@ class GeometricFile(StreamReservoir):
     def n_subsamples(self) -> int:
         return len(self.subsamples)
 
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """The current reservoir contents (record-retaining mode only).
+    @property
+    def sample_size(self) -> int:
+        """Records a full :meth:`sample_batch` returns right now."""
+        return self._law.sample_size(self)
 
-        At flush boundaries this is exactly the disk-resident sample; in
-        between, each buffered record's deferred disk eviction is
-        applied so the returned list is a valid size-``min(N, seen)``
-        sample at any instant.
+    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
+        """:meth:`sample_batch`'s rows as records (record-retaining mode).
 
         Args:
-            k: optionally thin to a uniform ``k``-subset (the
-                :class:`~repro.core.protocols.Reservoir` protocol
-                form); ``None`` returns the full reservoir.
-            rng: optional ``random.Random`` used for the deferred-
-                eviction (and thinning) draw.  Queries that must not
-                perturb the structure's own RNG stream (checkpoint
-                replay continues bit-exactly only if ingestion alone
-                consumes it -- the sharded service's recovery contract)
-                pass a dedicated query RNG here.
+            k: optionally a uniform ``k``-subset; ``None`` returns the
+                full reservoir.
+            rng: a ``random.Random`` or ``numpy.random.Generator`` for
+                every draw of the read.  Without one the read draws
+                from a generator seeded from the structure's
+                ``random.Random`` and never from its numpy generator.
         """
-        self.flush_barrier()
-        if not self.config.retain_records:
-            raise TypeError("file is running in count-only mode")
-        full = self._law.materialize(
-            self, rng if rng is not None else self._rng)
-        return self._thin_records(full, k, rng)
+        self._require_records()
+        return self.sample_batch(k, rng=self._sample_rng(rng)).to_records()
 
     def sample_batch(self, k: int | None = None, *, rng=None) -> RecordBatch:
-        """The current reservoir as one :class:`RecordBatch` (columnar).
+        """The current reservoir, or a uniform ``k``-subset of it.
 
-        Pure-array analogue of :meth:`sample`: ledger slabs are
-        concatenated in one call, the deferred buffer evictions land as
-        a single fancy-index overwrite, and no record objects exist
-        anywhere.  Requires ``columnar=True``.
+        At flush boundaries the reservoir is exactly the disk-resident
+        sample; in between, each buffered row displaces a uniform disk
+        row, so a read is a valid size-``min(N, seen)`` sample at any
+        instant.  A uniform-law ``k``-read gathers only its ``k`` rows
+        (see :meth:`~repro.sampling.laws.UniformLaw.read_batch`).
 
         Args:
-            k: optionally thin to a uniform ``k``-subset.
-            rng: optional ``numpy.random.Generator`` for the deferred-
-                eviction and subset draws (queries that must not
-                perturb the structure's own RNG stream pass one).
+            k: optionally a uniform ``k``-subset, uniformly ordered.
+            rng: a ``numpy.random.Generator`` (or ``random.Random``)
+                for every draw of the read, so a query need not touch
+                the structure's own streams.  Without one, the pending
+                rows' victims come from the structure's
+                ``random.Random`` and the ``k`` positions from its numpy
+                generator -- one ``choice(size, k)``, the draw reads
+                have always made there.
         """
         self.flush_barrier()
-        if not self.columnar:
-            if not self.config.retain_records:
-                raise TypeError("file is running in count-only mode")
-            return super().sample_batch(k, rng=rng)
-        gen = rng if rng is not None else self._np_rng
-        combined = self._law.materialize_batch(self, gen)
-        return self._thin_batch(RecordBatch(self.schema, combined), k, rng)
+        self._require_records()
+        victims_rng, positions_rng = self._read_rngs(rng)
+        return RecordBatch(self.schema, self._law.read_batch(
+            self, k, victims_rng, positions_rng))
 
-    @property
-    def columnar(self) -> bool:
-        """True when the columnar record engine is active."""
-        return self.config.columnar
+    def _require_records(self) -> None:
+        if not self.config.retain_records:
+            raise TypeError("file is running in count-only mode")
 
     def check_invariants(self) -> None:
         """Assert every ledger's conservation law; used heavily by tests."""
@@ -377,10 +359,11 @@ class GeometricFile(StreamReservoir):
         self._law.place_many(self, records)
 
     def _admit_batch(self, batch: RecordBatch) -> None:
-        if not self.columnar:
-            super()._admit_batch(batch)
-            return
-        self._law.place_batch(self, batch)
+        if self.config.retain_records:
+            self._law.place_batch(self, batch)
+        else:
+            # Count-only: the rows carry nothing to keep.
+            self._law.place_many(self, [None] * len(batch))
 
     def _admit_count(self, n: int) -> None:
         # Count-only fast path (uniform law only): the in-buffer
@@ -471,7 +454,8 @@ class GeometricFile(StreamReservoir):
                    phase="steady")
 
     def _new_ledger(self, sizes: list[int], first_level: int, tail: int,
-                    records: list[Record] | None) -> SubsampleLedger:
+                    records: RecordBatch | list[Record] | None
+                    ) -> SubsampleLedger:
         ledger = SubsampleLedger(
             self._next_ident, sizes, first_level, tail, records,
             stack_capacity=self.config.stack_records(),

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..pipeline import FlushEngine, FlushPlan
 from ..reservoir import (
     StreamReservoir,
@@ -44,11 +42,7 @@ from ..reservoir import (
     draw_victim_counts_array,
 )
 from ..sampling.laws import make_law
-from ..storage.device import (
-    BlockDevice,
-    SimulatedBlockDevice,
-    device_stores_bytes,
-)
+from ..storage.device import BlockDevice, device_stores_bytes
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record, RecordSchema
 from .buffer import SampleBuffer
@@ -100,6 +94,8 @@ class MultipleGeometricFiles(StreamReservoir):
     """
 
     name = "multiple geo files"
+    #: See :attr:`GeometricFile._slab_ledgers`.
+    _slab_ledgers = True
 
     def __init__(self, device: BlockDevice, config: MultiFileConfig,
                  *, seed: int | None = 0, weight_fn=None) -> None:
@@ -127,14 +123,14 @@ class MultipleGeometricFiles(StreamReservoir):
         # Per-level block counts, precomputed once (see GeometricFile).
         self._segment_blocks = [self._blocks_for(size)
                                 for size in self.ladder.segment_sizes]
+        slabs = config.retain_records and self._slab_ledgers
         self.buffer = SampleBuffer(config.buffer_capacity, self._rng,
                                    retain_records=config.retain_records,
                                    np_rng=self._np_rng,
-                                   schema=(self.schema if config.columnar
-                                           else None),
-                                   aux_width=law.aux_width)
-        self._store_bytes = (config.columnar
-                             and device_stores_bytes(device))
+                                   schema=self.schema if slabs else None,
+                                   aux_width=law.aux_width,
+                                   numpy_shuffle=True)
+        self._store_bytes = slabs and device_stores_bytes(device)
         self._victim_scratch = VictimScratch()
         self._startup_sizes = startup_fill_sizes(
             config.capacity, config.buffer_capacity, self.alpha
@@ -231,32 +227,30 @@ class MultipleGeometricFiles(StreamReservoir):
         hook)."""
         return self._all_ledgers()
 
+    @property
+    def sample_size(self) -> int:
+        """Records a full :meth:`sample_batch` returns right now."""
+        return self._law.sample_size(self)
+
     def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """Current reservoir contents; see
+        """:meth:`sample_batch`'s rows as records; see
         :meth:`~repro.core.geometric_file.GeometricFile.sample`."""
-        self.flush_barrier()
-        if not self.config.retain_records:
-            raise TypeError("files are running in count-only mode")
-        full = self._law.materialize(
-            self, rng if rng is not None else self._rng)
-        return self._thin_records(full, k, rng)
+        self._require_records()
+        return self.sample_batch(k, rng=self._sample_rng(rng)).to_records()
 
     def sample_batch(self, k: int | None = None, *, rng=None) -> RecordBatch:
-        """Current reservoir as one :class:`RecordBatch`; see
+        """Current reservoir, or a uniform ``k``-subset, as one
+        :class:`RecordBatch`; see
         :meth:`~repro.core.geometric_file.GeometricFile.sample_batch`."""
         self.flush_barrier()
-        if not self.columnar:
-            if not self.config.retain_records:
-                raise TypeError("files are running in count-only mode")
-            return super().sample_batch(k, rng=rng)
-        gen = rng if rng is not None else self._np_rng
-        combined = self._law.materialize_batch(self, gen)
-        return self._thin_batch(RecordBatch(self.schema, combined), k, rng)
+        self._require_records()
+        victims_rng, positions_rng = self._read_rngs(rng)
+        return RecordBatch(self.schema, self._law.read_batch(
+            self, k, victims_rng, positions_rng))
 
-    @property
-    def columnar(self) -> bool:
-        """True when the columnar record engine is active."""
-        return self.config.columnar
+    def _require_records(self) -> None:
+        if not self.config.retain_records:
+            raise TypeError("files are running in count-only mode")
 
     def check_invariants(self) -> None:
         """Assert every ledger's conservation law and the global size."""
@@ -289,10 +283,11 @@ class MultipleGeometricFiles(StreamReservoir):
         self._law.place_many(self, records)
 
     def _admit_batch(self, batch: RecordBatch) -> None:
-        if not self.columnar:
-            super()._admit_batch(batch)
-            return
-        self._law.place_batch(self, batch)
+        if self.config.retain_records:
+            self._law.place_batch(self, batch)
+        else:
+            # Count-only: the rows carry nothing to keep.
+            self._law.place_many(self, [None] * len(batch))
 
     def _admit_count(self, n: int) -> None:
         # Same count-only simplification as the single file: in-buffer
@@ -416,7 +411,8 @@ class MultipleGeometricFiles(StreamReservoir):
                    phase="steady", file=file.index)
 
     def _new_ledger(self, sizes: list[int], first_level: int, tail: int,
-                    records: list[Record] | None) -> SubsampleLedger:
+                    records: RecordBatch | list[Record] | None
+                    ) -> SubsampleLedger:
         ledger = SubsampleLedger(
             self._next_ident, sizes, first_level, tail, records,
             stack_capacity=self.config.stack_records(),

@@ -217,11 +217,13 @@ class ZoneMapIndex:
         :class:`ZoneMapStats` accounting are identical to
         :meth:`query`; the per-record extractor loop is replaced by a
         vectorised compare-and-compress per scanned subsample.
-        Requires a columnar file and a named (non-extractor) field.
+        Requires a file whose ledgers are slabs (any record-retaining
+        file but the biased ones) and a named (non-extractor) field.
         """
         gf = self._gf
-        if not getattr(gf, "columnar", False):
-            raise TypeError("query_batch needs a columnar geometric file")
+        if not gf.buffer.columnar:
+            raise TypeError("query_batch needs a geometric file whose "
+                            "records are slabs")
         if self._field is None:
             raise TypeError(
                 "query_batch needs a named field; custom extractors "

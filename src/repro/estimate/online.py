@@ -32,7 +32,6 @@ import random
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from ..storage.records import Record
-from .clt import normal_quantile
 from .estimators import Estimate
 
 

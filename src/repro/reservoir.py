@@ -177,6 +177,15 @@ class VictimScratch:
         return self._buf[:n]
 
 
+def as_generator(rng) -> np.random.Generator:
+    """The numpy generator a read's ``rng=`` stands for: a ``Generator``
+    as it is, a ``random.Random`` as a fresh generator seeded from 64 of
+    its bits."""
+    if isinstance(rng, random.Random):
+        return np.random.default_rng(rng.getrandbits(64))
+    return rng
+
+
 def _distinct_integers(rng: np.random.Generator, low: int, high: int,
                        k: int) -> np.ndarray:
     """A uniform random ``k``-subset of ``[low, high)`` in O(k) memory.
@@ -637,9 +646,9 @@ class StreamReservoir(abc.ABC):
         """The current sample as a :class:`RecordBatch`.
 
         The base implementation is a decode shim over :meth:`sample`
-        (available wherever ``sample()`` is); columnar structures
-        override it with a pure-array path that never materialises
-        record objects.
+        (available wherever ``sample()`` is); the geometric structures
+        override it with a slab read that never materialises record
+        objects.
 
         Args:
             k: optionally thin to a uniform ``k``-subset.
@@ -667,6 +676,29 @@ class StreamReservoir(abc.ABC):
         returned ``seen`` count is what merge allocation weighs.
         """
         return self.sample_batch(k, rng=rng), self._seen
+
+    def _read_rngs(self, rng) -> tuple[np.random.Generator,
+                                        np.random.Generator]:
+        """(victim generator, position generator) for one ``sample_batch``.
+
+        A caller's ``rng`` drives both draws.  Without one, the pending
+        rows' victims come from a generator seeded from ``_rng``, which
+        decides content only, and the ``k`` positions from ``_np_rng``:
+        the one ``choice`` the record-list read always made there, so
+        reads leave the simulated disk where it was.
+        """
+        if rng is not None:
+            gen = as_generator(rng)
+            return gen, gen
+        return (np.random.default_rng(self._rng.getrandbits(64)),
+                self._np_rng)
+
+    def _sample_rng(self, rng) -> np.random.Generator:
+        """The generator a record-returning ``sample`` draws from: the
+        caller's, else one seeded from ``_rng`` -- never ``_np_rng``."""
+        if rng is not None:
+            return as_generator(rng)
+        return np.random.default_rng(self._rng.getrandbits(64))
 
     def _thin_batch(self, batch, k: int | None, rng):
         if k is None:

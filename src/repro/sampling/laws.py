@@ -84,6 +84,7 @@ from typing import Callable
 import numpy as np
 
 from ..reservoir import StreamReservoir, hypergeometric
+from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record
 from .weights import (
     WeightFunction,
@@ -183,9 +184,11 @@ class SamplingLaw:
         evictions itself and returning the drained-row victims for
         the freshly written ledger.
 
-    materialisation (query time)
-        :meth:`materialize` / :meth:`materialize_batch` assemble the
-        current logical sample from ledgers plus buffer.
+    reads (query time)
+        :meth:`materialize_batch` assembles the current logical sample
+        from the ledgers' slabs plus the buffer's; :meth:`read_batch`
+        answers a ``k``-read, by default by thinning that, and
+        :meth:`sample_size` says how many rows a full read holds.
 
     checkpoints
         :meth:`state_dict` / :meth:`restore_state` round-trip the
@@ -263,13 +266,32 @@ class SamplingLaw:
         """
         raise NotImplementedError
 
-    # -- materialisation ---------------------------------------------------
-
-    def materialize(self, gf, rng: random.Random) -> list:
-        raise NotImplementedError
+    # -- reads -------------------------------------------------------------
 
     def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
+
+    def read_batch(self, gf, k: int | None, victims_rng: np.random.Generator,
+                   positions_rng: np.random.Generator) -> np.ndarray:
+        """Rows of a ``k``-read (``None``: the whole sample).
+
+        Materialise-then-thin: ``victims_rng`` places the pending rows,
+        then ``positions_rng`` draws a uniform ``k``-subset, in uniform
+        order, of the materialised rows.
+        """
+        combined = self.materialize_batch(gf, victims_rng)
+        if k is None:
+            return combined
+        if k > len(combined):
+            raise ValueError(
+                f"cannot draw {k} records from a sample of {len(combined)}")
+        return combined[positions_rng.choice(len(combined), size=k,
+                                             replace=False)]
+
+    def sample_size(self, gf) -> int:
+        """Rows a full read holds right now (materialises to count them;
+        laws with uniform victims override)."""
+        return len(self.materialize_batch(gf, np.random.default_rng(0)))
 
     # -- checkpoint --------------------------------------------------------
 
@@ -298,6 +320,28 @@ class SamplingLaw:
     def _disk_parts(self, gf) -> list[np.ndarray]:
         return [ledger.records.array for ledger in gf.iter_ledgers()
                 if ledger.records is not None and len(ledger.records)]
+
+    def _materialize_pending(self, gf, gen: np.random.Generator
+                             ) -> np.ndarray:
+        """Disk rows with each pending row overwriting a uniform victim
+        (every row while the reservoir is still filling)."""
+        dtype = gf.schema.dtype
+        parts = self._disk_parts(gf)
+        pending = gf.buffer.pending_view()
+        if gf.in_startup:
+            if len(pending):
+                parts = parts + [pending]
+            return (np.concatenate(parts) if parts
+                    else np.empty(0, dtype=dtype))
+        combined = (np.concatenate(parts) if parts
+                    else np.empty(0, dtype=dtype))
+        return StreamReservoir.apply_pending_batch(combined, pending, gen)
+
+    @staticmethod
+    def _pending_apply_size(gf) -> int:
+        """Full-read size when pending rows displace disk rows."""
+        disk = sum(ledger.live for ledger in gf.iter_ledgers())
+        return disk + gf.buffer.count if gf.in_startup else disk
 
     def _disk_aux(self, gf) -> np.ndarray:
         parts = [ledger.aux for ledger in gf.iter_ledgers()
@@ -405,6 +449,13 @@ class UniformLaw(SamplingLaw):
             gf._flush()
 
     def place_many(self, gf, records: list) -> None:
+        if gf.buffer.columnar:
+            # A record list reaches a slab buffer encoded once; the
+            # batch path draws exactly what the loop below would.
+            if any(record is None for record in records):
+                raise ValueError("record-retaining buffer needs the record")
+            self.place_batch(gf, RecordBatch.from_records(gf.schema, records))
+            return
         i = 0
         n = len(records)
         while i < n:
@@ -451,27 +502,72 @@ class UniformLaw(SamplingLaw):
                 else:
                     gf._flush()
 
-    # -- materialisation (GeometricFile.sample* bodies) --------------------
-
-    def materialize(self, gf, rng: random.Random) -> list:
-        combined = self._disk_records(gf)
-        pending = list(gf.buffer)
-        if gf.in_startup:
-            return combined + pending
-        return StreamReservoir.apply_pending(combined, pending, rng)
+    # -- reads (GeometricFile.sample* bodies) ------------------------------
 
     def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
-        dtype = gf.schema.dtype
-        parts = self._disk_parts(gf)
+        return self._materialize_pending(gf, gen)
+
+    def sample_size(self, gf) -> int:
+        return self._pending_apply_size(gf)
+
+    def read_batch(self, gf, k: int | None, victims_rng: np.random.Generator,
+                   positions_rng: np.random.Generator) -> np.ndarray:
+        """A ``k``-read that gathers only the ``k`` rows it returns.
+
+        It makes materialise-then-thin's draws, in its order -- the
+        pending rows' victims among the disk rows, then ``k`` positions
+        of the materialised order -- and resolves each position without
+        building that order: a victim position yields its pending row,
+        any other disk position its (ledger, row) pair, found by a
+        ``searchsorted`` over the ledgers' cumulative live counts.  From
+        the same generator states it returns the very rows
+        materialise-then-thin does.
+        """
+        if k is None:
+            return self.materialize_batch(gf, victims_rng)
+        ledgers = [ledger for ledger in gf.iter_ledgers() if ledger.live]
+        lives = np.fromiter((ledger.live for ledger in ledgers),
+                            dtype=np.int64, count=len(ledgers))
+        ends = np.cumsum(lives)
+        disk = int(ends[-1]) if len(ends) else 0
         pending = gf.buffer.pending_view()
-        if gf.in_startup:
-            if len(pending):
-                parts = parts + [pending]
-            return (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
-        combined = (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
-        return StreamReservoir.apply_pending_batch(combined, pending, gen)
+        startup = gf.in_startup
+        size = disk + len(pending) if startup else disk
+        if k > size:
+            raise ValueError(
+                f"cannot draw {k} records from a sample of {size}")
+        victims = None
+        if len(pending) and not startup:
+            if len(pending) > disk:
+                raise ValueError("more pending records than disk residents")
+            victims = victims_rng.choice(disk, size=len(pending),
+                                         replace=False)
+        positions = positions_rng.choice(size, size=k, replace=False)
+        out = np.empty(k, dtype=gf.schema.dtype)
+        on_disk = positions < disk
+        if startup:
+            # Past the disk rows, materialised order appends the buffer.
+            tail = ~on_disk
+            out[tail] = pending[positions[tail] - disk]
+        elif victims is not None:
+            order = np.argsort(victims)
+            ranked = victims[order]
+            slot = np.minimum(np.searchsorted(ranked, positions),
+                              len(ranked) - 1)
+            hit = ranked[slot] == positions
+            out[hit] = pending[order[slot[hit]]]
+            on_disk &= ~hit
+        where = np.flatnonzero(on_disk)
+        owner = np.searchsorted(ends, positions[where], side="right")
+        rows = positions[where] - (ends - lives)[owner]
+        by_owner = np.argsort(owner, kind="stable")
+        bounds = np.searchsorted(owner[by_owner],
+                                 np.arange(len(ledgers) + 1))
+        for index, ledger in enumerate(ledgers):
+            pick = by_owner[bounds[index]:bounds[index + 1]]
+            if len(pick):
+                out[where[pick]] = ledger.records.array[rows[pick]]
+        return out
 
 
 class _WeightedLaw(SamplingLaw):
@@ -625,12 +721,6 @@ class AExpJLaw(_WeightedLaw):
             return np.arange(k, dtype=np.int64)
         return np.argsort(keys, kind="stable")[keys.shape[0] - k:]
 
-    def materialize(self, gf, rng: random.Random) -> list:
-        records = self._disk_records(gf) + list(gf.buffer)
-        keys = np.concatenate(
-            [self._disk_aux(gf)[:, 0], gf.buffer.aux_view()[:, 0]])
-        return [records[int(i)] for i in self._top_k_indices(gf, keys)]
-
     def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
         dtype = gf.schema.dtype
         parts = self._disk_parts(gf)
@@ -750,27 +840,13 @@ class WeightedReplacementLaw(_WeightedLaw):
         for record in records:
             self.place(gf, record)
 
-    # -- materialisation (uniform victims => uniform pending apply) --------
-
-    def materialize(self, gf, rng: random.Random) -> list:
-        combined = self._disk_records(gf)
-        pending = list(gf.buffer)
-        if gf.in_startup:
-            return combined + pending
-        return StreamReservoir.apply_pending(combined, pending, rng)
+    # -- reads (uniform victims => uniform pending apply) -------------------
 
     def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
-        dtype = gf.schema.dtype
-        parts = self._disk_parts(gf)
-        pending = gf.buffer.pending_view()
-        if gf.in_startup:
-            if len(pending):
-                parts = parts + [pending]
-            return (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
-        combined = (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
-        return StreamReservoir.apply_pending_batch(combined, pending, gen)
+        return self._materialize_pending(gf, gen)
+
+    def sample_size(self, gf) -> int:
+        return self._pending_apply_size(gf)
 
     # -- checkpoint --------------------------------------------------------
 
@@ -905,12 +981,6 @@ class SlidingWindowLaw(_WeightedLaw):
         if live.shape[0] <= s:
             return live
         return live[np.argsort(keys[live], kind="stable")[live.shape[0] - s:]]
-
-    def materialize(self, gf, rng: random.Random) -> list:
-        records = self._disk_records(gf) + list(gf.buffer)
-        aux = np.concatenate([self._disk_aux(gf), gf.buffer.aux_view()])
-        chosen = self._select_live(gf, aux[:, 0], aux[:, 1])
-        return [records[int(i)] for i in chosen]
 
     def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
         dtype = gf.schema.dtype

@@ -30,7 +30,10 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from ..storage.records import Record
+import numpy as np
+
+from ..storage.recordbatch import RecordBatch
+from ..storage.records import MIN_RECORD_SIZE, Record, RecordSchema
 
 #: Protocol version spoken by this module; bumped on wire changes.
 PROTOCOL_VERSION = 1
@@ -294,8 +297,32 @@ def encode_records(records) -> list[list]:
     return [encode_record(record) for record in records]
 
 
-def decode_records(items: Any) -> list[Record]:
-    """Rebuild a list of records from wire lists."""
+def decode_records(items: Any, schema: RecordSchema | None = None):
+    """Rebuild records from wire lists: a list of :class:`Record`, or
+    with ``schema`` one :class:`RecordBatch` built column by column
+    (no record objects).  A payload wider than the schema's slot is a
+    ``ValueError``, as :meth:`RecordSchema.check_payloads` has it."""
     if not isinstance(items, list):
         raise ValueError("wire records must be a list")
-    return [decode_record(item) for item in items]
+    if schema is None:
+        return [decode_record(item) for item in items]
+    for fields in items:
+        if not isinstance(fields, (list, tuple)) or len(fields) != 4:
+            raise ValueError(f"malformed wire record: {fields!r}")
+    array = np.zeros(len(items), dtype=schema.dtype)
+    if items:
+        keys, values, stamps, payloads = zip(*items)
+        array["key"] = np.asarray(keys, dtype=np.int64)
+        array["value"] = np.asarray(values, dtype=np.float64)
+        array["timestamp"] = np.asarray(stamps, dtype=np.float64)
+        payloads = [base64.b64decode(payload) for payload in payloads]
+        width = schema.record_size - MIN_RECORD_SIZE
+        for key, payload in zip(keys, payloads):
+            if len(payload) > width:
+                raise ValueError(
+                    f"record {key}: its {len(payload)}-byte payload does "
+                    f"not fit the {width}-byte payload slot of "
+                    f"{schema.record_size}-byte records")
+        if width:
+            array["payload"] = payloads
+    return RecordBatch(schema, array)

@@ -44,6 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
+from ..storage.records import RecordSchema
 from .protocol import (
     ERR_BAD_REQUEST,
     ERR_BUSY,
@@ -136,6 +137,12 @@ class ReservoirServer:
         self.engine = engine
         self.config = config or ServerConfig()
         self._clock = clock
+        # offer_batch rows decode straight into the layout of a
+        # record-keeping engine; a count-only one gets record lists.
+        engine_config = getattr(engine, "config", None)
+        self._schema = (RecordSchema(engine_config.record_size)
+                        if getattr(engine_config, "retain_records", False)
+                        else None)
         self.draining = False
         self._next_session = 0
         self.sessions_opened = 0
@@ -251,7 +258,8 @@ class ReservoirServer:
             engine.offer(decode_record(args["record"]))
             return {}
         if op == "offer_batch":
-            admitted = engine.offer_batch(decode_records(args["records"]))
+            admitted = engine.offer_batch(
+                decode_records(args["records"], self._schema))
             return {"admitted": int(admitted)}
         if op == "ingest":
             n = int(args["n"])

@@ -235,8 +235,19 @@ class ShardedReservoir:
         """
         if self._closed:
             raise RuntimeError("service is closed")
+        if not isinstance(records, RecordBatch):
+            if not isinstance(records, (list, tuple)):
+                records = list(records)
+            if self.config.retain_records:
+                # Up front for the schema guard's reason: the shards
+                # would reject the batch on every replay.
+                self._schema.check_payloads(records)
+                if self._pool.supports_batches:
+                    # Encoded once here, the rows travel as slabs.
+                    records = RecordBatch.from_records(self._schema,
+                                                       records)
         if isinstance(records, RecordBatch):
-            if records.schema != RecordSchema(self.config.record_size):
+            if records.schema != self._schema:
                 # Rejected up front, before the journal sees it: a
                 # journaled batch the shards cannot apply would be
                 # replayed forever by crash recovery.  (Weighted input
@@ -261,18 +272,11 @@ class ShardedReservoir:
                 self._offered += len(records)
                 return len(records)
             records = list(records)
-        else:
-            if not isinstance(records, (list, tuple)):
-                records = list(records)
-            if self.config.retain_records:
-                # Up front for the schema guard's reason: the shards
-                # would reject the batch on every replay.
-                self._schema.check_payloads(records)
-            if self._hot is not None:
-                # Fed *before* partitioning: the supervisor-side cache
-                # over the union stream is exactly the hypergeometric
-                # merge of per-shard caches, with the merge pre-paid.
-                self._hot.observe_many(records)
+        elif self._hot is not None:
+            # Fed *before* partitioning: the supervisor-side cache
+            # over the union stream is exactly the hypergeometric
+            # merge of per-shard caches, with the merge pre-paid.
+            self._hot.observe_many(records)
         parts = self._partitioner.split(records)
         for shard_id, part in enumerate(parts):
             if part:

@@ -21,6 +21,9 @@ Framing.  Each slab is one contiguous frame::
 rounded up to a 64-byte boundary.  A frame that would straddle the end
 of the ring is preceded by a ``PAD`` frame so payloads stay contiguous
 (that is what makes the receive side a single ``np.frombuffer`` view).
+A frame written to an empty ring rewinds to offset 0 the same way, so
+the shared pages a ring touches -- resident memory in both processes
+-- follow the bytes in flight rather than the ring's capacity.
 The header carries its own checksum and the trailer repeats the
 sequence word, so a frame written by a worker that died mid-copy is
 *detected* (:class:`TornSlabError`) rather than decoded as garbage --
@@ -287,15 +290,10 @@ class SlabRing:
             raise ValueError(
                 f"slab of {n_bytes} B can never fit a "
                 f"{self.capacity} B ring")
-        head, tail = self.head, self.tail
-        free = self.capacity - (tail - head)
-        pos = tail % self.capacity
-        rem = self.capacity - pos
-        pad = rem if rem < need else 0
-        if pad + need > free:
+        placed = self._place(need)
+        if placed is None:
             return None
-        if pad:
-            pos = 0
+        pos, pad = placed
         view = self._data[pos + HEADER_BYTES:pos + HEADER_BYTES + n_bytes]
         self._pending = (pos, pad, need, view)
         return view
@@ -348,25 +346,38 @@ class SlabRing:
             raise ValueError(
                 f"slab of {n_bytes} B can never fit a "
                 f"{self.capacity} B ring")
-        head, tail = self.head, self.tail
-        free = self.capacity - (tail - head)
-        pos = tail % self.capacity
-        rem = self.capacity - pos
-        pad = rem if rem < need else 0
-        if pad + need > free:
+        placed = self._place(need)
+        if placed is None:
             return False
+        pos, pad = placed
+        tail = self.tail
         if pad:
-            # A PAD frame fills the tail of the ring so the data frame
-            # starts at offset 0 and stays contiguous.
             pad_payload = pad - HEADER_BYTES - TRAILER_BYTES
-            self._write_frame(pos, KIND_PAD, 0, seq, 0, pad_payload,
-                              None, pad)
-            tail += pad
-            pos = 0
+            self._write_frame(tail % self.capacity, KIND_PAD, 0, seq, 0,
+                              pad_payload, None, pad)
         self._write_frame(pos, kind, flags, seq, n_records, n_bytes,
                           payload, need)
-        self._store(8, tail + need)
+        self._store(8, tail + pad + need)
         return True
+
+    def _place(self, need: int) -> tuple[int, int] | None:
+        """(offset, pad bytes) for the next frame of ``need`` bytes, or
+        ``None`` while the ring lacks room.
+
+        A frame that would straddle the end of the ring starts at offset
+        0 behind a PAD frame filling the rest, so it stays contiguous.
+        A frame written to an *empty* ring rewinds the same way, so the
+        pages a ring ever touches follow the bytes in flight, not its
+        capacity.
+        """
+        head, tail = self.head, self.tail
+        pos = tail % self.capacity
+        rem = self.capacity - pos
+        rewind = rem < need or (tail == head and pos >= need)
+        pad = rem if rewind else 0
+        if pad + need > self.capacity - (tail - head):
+            return None
+        return (0 if rewind else pos), pad
 
     def _write_frame(self, pos: int, kind: int, flags: int, seq: int,
                      n_records: int, n_bytes: int, payload,

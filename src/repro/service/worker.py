@@ -13,9 +13,11 @@ Commands, in order, on the shard's inbox:
 * ``("batch", seq, records)`` -- apply one partitioned sub-batch via
   the ``offer_many`` hot path.
 * ``("ingest", seq, count)`` -- count-only sub-batch (benchmarks).
-* ``("sample", token, k)`` -- reply with up to ``k`` reservoir records,
-  uniformly chosen *and uniformly ordered* (so any prefix is itself a
-  uniform subset -- the merge layer relies on this).
+* ``("sample", token, k)`` -- reply with ``min(k, size)`` reservoir
+  records as one ``RecordBatch``, uniformly chosen *and uniformly
+  ordered* (so any prefix is itself a uniform subset -- the merge layer
+  relies on this).  A process worker sends the rows on its reply ring,
+  or as a record list over the queue.
 * ``("stats", token)`` -- reply with the structure's ``stats()`` as a
   dict plus the applied sequence number.
 * ``("checkpoint",)`` -- checkpoint now, regardless of cadence.
@@ -29,23 +31,21 @@ Replies on the outbox: ``("ready", shard_id, seq)`` once at start
 payload)``, ``("stopped", shard_id, seq)``, and ``("error", shard_id,
 text)`` before an abnormal exit.
 
-Two RNG streams per worker, deliberately separated: the reservoir's own
-RNGs are consumed by ingestion *only*, so replaying journaled batches
-after a crash continues the checkpointed RNG state bit-exactly;
-queries draw from a dedicated query RNG that recovery never needs to
-reproduce.
+Two kinds of RNG stream per worker, deliberately separated: the
+reservoir's own RNGs are consumed by ingestion *only*, so replaying
+journaled batches after a crash continues the checkpointed RNG state
+bit-exactly; queries draw from a dedicated query RNG that recovery
+never needs to reproduce.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
 
 import numpy as np
 
 from ..storage.recordbatch import RecordBatch
-from ..storage.records import Record
 from .spec import ShardSpec
 
 #: Sequence number meaning "nothing applied yet".
@@ -72,12 +72,10 @@ class ShardWorker:
             meta = self.managed.checkpoint_meta or {}
             self.seq = int(meta.get(SEQ_META_KEY, SEQ_NONE))
         self._batches_since_checkpoint = 0
-        # Query-only RNGs; never touched by ingestion or recovery.
+        # Query-only RNG; never touched by ingestion or recovery.
         seed_seq = np.random.SeedSequence(
             [spec.seed & 0xFFFFFFFF, spec.shard_id, 0x51])
         self._query_rng = np.random.default_rng(seed_seq)
-        self._query_py_rng = random.Random(
-            ((spec.seed & 0xFFFFFFFF) << 24) ^ (spec.shard_id << 8) ^ 0x51)
 
     # -- message handling ---------------------------------------------------
 
@@ -142,28 +140,26 @@ class ShardWorker:
         return [("checkpointed", self.spec.shard_id, self.seq)]
 
     def _draw_sample(self, k: int) -> dict:
-        """Up to ``k`` reservoir records, uniform and uniformly ordered.
+        """``min(k, size)`` reservoir rows, uniform and uniformly ordered.
 
-        The deferred-eviction materialisation inside ``sample()`` and
-        the subset draw both use the worker's query RNGs, so the
-        reservoir's own (checkpointed, replay-critical) RNG streams
-        stay untouched by reads.
+        One ``k``-read of the structure, every draw from the worker's
+        query RNG, so the reservoir's own (checkpointed, replay-critical)
+        RNG streams stay untouched by reads.
         """
         if k < 0:
             raise ValueError("sample size must be non-negative")
-        law = getattr(self.managed.structure, "_law", None)
+        structure = self.managed.structure
+        law = getattr(structure, "_law", None)
         if law is not None and law.mergeable_by_key:
             return self._draw_keyed_sample(k, law)
-        records = self.managed.sample(rng=self._query_py_rng)
-        size = len(records)
         stats = self.managed.stats()
-        take = min(k, size)
-        order = self._query_rng.permutation(size)[:take]
+        size = structure.sample_size
         return {
             "seen": stats.seen,
             "size": size,
             "seq": self.seq,
-            "records": [records[i] for i in order],
+            "records": structure.sample_batch(min(k, size),
+                                              rng=self._query_rng),
         }
 
     def _draw_keyed_sample(self, k: int, law) -> dict:
@@ -229,35 +225,33 @@ def _pop_batch_slab(ring, schema, seq: int, n_records: int) -> RecordBatch:
 
 
 def _slab_reply(ring, schema, reply: tuple) -> tuple:
-    """Route a sample reply's records over the outbound ring if possible.
+    """Route a sample reply's rows over the outbound ring if possible.
 
-    Plain-``Record`` payloads are encoded once into the shared record
-    dtype (in *this* process, so encoding parallelises across shards)
-    and replaced by a ``sample_slab`` stub; keyed (A-ExpJ), weighted,
-    or empty payloads -- and slabs the ring cannot take in reasonable
-    time -- stay on the pickled queue path unchanged.
+    A ``RecordBatch`` payload is copied into the ring and replaced by a
+    ``sample_slab`` stub.  Without a ring (the queue transport), for an
+    empty batch, or when the ring cannot take the slab in reasonable
+    time, the rows travel the pickled queue as a record list; keyed
+    (A-ExpJ) payloads are record lists already and pass unchanged.
     """
-    if ring is None or reply[0] != "sample":
+    if reply[0] != "sample":
         return reply
     payload = reply[3]
-    records = payload.get("records")
-    if (not isinstance(records, list) or not records
-            or "keys" in payload or not isinstance(records[0], Record)):
+    batch = payload.get("records")
+    if not isinstance(batch, RecordBatch):
         return reply
-    batch = RecordBatch.from_records(schema, records)
     n_bytes = len(batch) * schema.record_size
-    if not ring.fits(n_bytes):
-        return reply
-    deadline = time.monotonic() + 0.25
-    while True:
-        view = ring.try_reserve(n_bytes)
-        if view is not None:
-            break
-        if time.monotonic() > deadline:
+    view = None
+    if ring is not None and batch and ring.fits(n_bytes):
+        deadline = time.monotonic() + 0.25
+        while True:
+            view = ring.try_reserve(n_bytes)
             # A slow supervisor must never deadlock against a blocked
-            # worker: give up on the ring, pickle the reply instead.
-            return reply
-        time.sleep(0.0002)
+            # worker: past the deadline the rows take the queue.
+            if view is not None or time.monotonic() > deadline:
+                break
+            time.sleep(0.0002)
+    if view is None:
+        return (*reply[:3], {**payload, "records": batch.to_records()})
     from .shm import KIND_DATA
 
     batch.into_shared(view)

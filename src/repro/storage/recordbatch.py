@@ -286,6 +286,11 @@ class RecordBatch:
         That is the one deletion the ledger's pop-from-the-end eviction
         rule performs; anything else would need an O(n) compaction and
         is deliberately unsupported.
+
+        Truncation takes a view, which keeps the whole underlying
+        buffer alive; once fewer than half of that buffer's bytes are
+        live rows, the rows are copied out, so a batch pins at most
+        twice its live bytes at an amortised O(1) copy per deleted row.
         """
         n = len(self._array)
         if not isinstance(index, slice):
@@ -295,12 +300,25 @@ class RecordBatch:
         if step != 1 or stop != n:
             raise ValueError("RecordBatch only supports deleting a "
                              "tail slice (del batch[k:])")
-        self._array = self._array[:start]
+        array = self._array[:start]
+        if 2 * array.nbytes < pinned_bytes(array):
+            array = array.copy()
+        self._array = array
 
     def __repr__(self) -> str:
         return (f"RecordBatch({len(self._array)} x "
                 f"{self.schema.record_size} B"
                 f"{', weighted' if self.schema.weighted else ''})")
+
+
+def pinned_bytes(array: np.ndarray) -> int:
+    """Bytes of the buffer ``array`` keeps alive: its own when it owns
+    its data, else those of the base it views (an array, or the bytes
+    object ``np.frombuffer`` wrapped)."""
+    base = array.base
+    if base is None:
+        return array.nbytes
+    return getattr(base, "nbytes", None) or len(base)
 
 
 def _rebuild_batch(schema: RecordSchema, data: bytes,

@@ -16,7 +16,6 @@ from repro.analysis import (
     required_multiplier,
     scan_flush_cost,
     seeks_per_flush,
-    seeks_per_record,
     segments_per_flush,
     subsample_size_sigma,
     survival_probability,

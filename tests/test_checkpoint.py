@@ -301,11 +301,11 @@ class TestBiasedMultiRoundTrip:
 # -- format version 2 --------------------------------------------------------
 
 
-def build(structure, law, columnar, seed):
+def build(structure, law, seed):
     params = (("weight", "value"),) if law == "aexpj" else ()
     common = dict(capacity=400, buffer_capacity=40, record_size=40,
                   beta_records=4, retain_records=True, admission="uniform",
-                  columnar=columnar, law=law, law_params=params)
+                  law=law, law_params=params)
     if structure == "multi":
         cls, config = MultipleGeometricFiles, MultiFileConfig(
             alpha_prime=0.6, **common)
@@ -323,8 +323,9 @@ def stream(start, n):
             for i in range(start, start + n)]
 
 
-def offer(gf, records):
-    if gf.columnar:
+def offer(gf, records, batch=False):
+    """Offer ``records`` as one slab or as the record list itself."""
+    if batch:
         gf.offer_batch(RecordBatch.from_records(gf.schema, records))
     else:
         gf.offer_many(records)
@@ -333,21 +334,21 @@ def offer(gf, records):
 class TestFormat:
     @given(structure=st.sampled_from(["geometric", "multi"]),
            law=st.sampled_from(["uniform", "aexpj"]),
-           columnar=st.booleans(), at_flush=st.booleans(),
+           batch=st.booleans(), at_flush=st.booleans(),
            n1=st.integers(1, 900), n2=st.integers(1, 300),
            seed=st.integers(0, 1_000))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_save_load_save_is_identical_and_continues_bit_exact(
-            self, structure, law, columnar, at_flush, n1, n2, seed):
-        gf = build(structure, law, columnar, seed)
-        offer(gf, stream(0, n1))
+            self, structure, law, batch, at_flush, n1, n2, seed):
+        gf = build(structure, law, seed)
+        offer(gf, stream(0, n1), batch)
         seen = n1
         # Step one record at a time to a flush boundary (empty buffer),
         # or to a state with records in the buffer.
         flushes = gf.flushes
         while (gf.flushes == flushes) if at_flush else not gf.buffer.count:
-            offer(gf, stream(seen, 1))
+            offer(gf, stream(seen, 1), batch)
             seen += 1
         assert (gf.buffer.count == 0) == at_flush
         text = saved_text(gf)
@@ -357,8 +358,8 @@ class TestFormat:
             SimulatedBlockDevice(gf.device.n_blocks, small_disk_params()))
         assert saved_text(restored) == text
         more = stream(seen, n2)
-        offer(gf, more)
-        offer(restored, more)
+        offer(gf, more, batch)
+        offer(restored, more, batch)
         assert saved_text(restored) == saved_text(gf)
         assert (restored.sample(rng=random.Random(1))
                 == gf.sample(rng=random.Random(1)))
@@ -381,22 +382,24 @@ class TestFormat:
         with pytest.raises(ValueError, match="version 1"):
             load_geometric_file(io.StringIO(json.dumps(state)), device)
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_payloads_restore_as_the_slot_codec_decodes_them(self,
-                                                             columnar):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_payloads_restore_as_the_slot_codec_decodes_them(self, batch):
         """A payload exactly the slot width comes back as
-        ``RecordSchema.decode`` returns it (the disk, shm and columnar
-        contract); one byte longer is rejected before any state
+        ``RecordSchema.decode`` returns it (the disk, shm and slab
+        contract), whether it arrived through ``offer`` or
+        ``offer_many``; one byte longer is rejected before any state
         changes, so no record reads back differently after a restore."""
         schema = RecordSchema(40)
         width = schema.record_size - MIN_RECORD_SIZE
         offered = {i: Record(key=i, value=float(i), timestamp=float(i),
                              payload=bytes([65 + i % 26]) * width)
                    for i in range(150)}
-        gf = make_geometric_file(capacity=100, buffer_capacity=10,
-                                 columnar=columnar)
-        for record in offered.values():
-            gf.offer(record)
+        gf = make_geometric_file(capacity=100, buffer_capacity=10)
+        if batch:
+            gf.offer_many(list(offered.values()))
+        else:
+            for record in offered.values():
+                gf.offer(record)
         before = saved_text(gf)
         too_long = Record(key=150, payload=b"x" * (width + 1))
         for verb in (gf.offer, lambda r: gf.offer_many([r])):
@@ -424,10 +427,10 @@ _CHAIN_LAWS = {
 }
 
 
-def chain_config(structure, law, columnar):
+def chain_config(structure, law):
     common = dict(capacity=400, buffer_capacity=40, record_size=40,
                   beta_records=4, retain_records=True, admission="uniform",
-                  columnar=columnar, law=law, law_params=_CHAIN_LAWS[law])
+                  law=law, law_params=_CHAIN_LAWS[law])
     if structure == "multi":
         return MultipleGeometricFiles, MultiFileConfig(alpha_prime=0.6,
                                                        **common)
@@ -437,18 +440,18 @@ def chain_config(structure, law, columnar):
 class TestSlabFiles:
     @given(structure=st.sampled_from(["geometric", "multi"]),
            law=st.sampled_from(sorted(_CHAIN_LAWS)),
-           columnar=st.booleans(),
+           batch=st.booleans(),
            steps=st.lists(st.integers(1, 400), min_size=1, max_size=14),
            reopen=st.integers(0, 13), seed=st.integers(0, 1_000))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_checkpoint_chain_reopens_bit_exact(
-            self, structure, law, columnar, steps, reopen, seed):
+            self, structure, law, batch, steps, reopen, seed):
         """Offers and incremental checkpoints alternate; the sample is
         reopened from disk after checkpoint ``reopen`` and must continue
         exactly like an uninterrupted twin.  After every checkpoint the
         directory holds the manifest and exactly the slabs it names."""
-        cls, config = chain_config(structure, law, columnar)
+        cls, config = chain_config(structure, law)
         blocks = cls.required_blocks(config, TEST_BLOCK)
 
         def factory():
@@ -464,16 +467,16 @@ class TestSlabFiles:
             for index, n in enumerate(steps):
                 records = stream(seen, n)
                 seen += n
-                offer(twin, records)
-                offer(managed.structure, records)
+                offer(twin, records, batch)
+                offer(managed.structure, records, batch)
                 managed.checkpoint()
                 assert sorted(os.listdir(directory)) == checkpoint_files(path)
                 if index == reopen:
                     managed = ManagedSample(path, factory, None, kind=kind)
                     assert saved_text(managed.structure) == saved_text(twin)
             more = stream(seen, 150)
-            offer(twin, more)
-            offer(managed.structure, more)
+            offer(twin, more, batch)
+            offer(managed.structure, more, batch)
             assert saved_text(managed.structure) == saved_text(twin)
             assert (managed.sample(rng=random.Random(1))
                     == twin.sample(rng=random.Random(1)))
@@ -484,7 +487,7 @@ class TestSlabFiles:
         are live and gets a fresh, smaller one at half or below; the
         directory stays within twice the live records' packed bytes
         plus the manifest."""
-        cls, config = chain_config("geometric", "uniform", False)
+        cls, config = chain_config("geometric", "uniform")
         blocks = cls.required_blocks(config, TEST_BLOCK)
         path = tmp_path / "checkpoint.json"
         managed = ManagedSample(
@@ -517,7 +520,7 @@ class TestSlabFiles:
 class TestSlabValidation:
     def checkpointed(self, tmp_path):
         """A checkpoint path and the first slab it names with >1 live."""
-        cls, config = chain_config("geometric", "uniform", False)
+        cls, config = chain_config("geometric", "uniform")
         blocks = cls.required_blocks(config, TEST_BLOCK)
         path = tmp_path / "checkpoint.json"
         managed = ManagedSample(
@@ -532,7 +535,7 @@ class TestSlabValidation:
     def assert_rejected(self, path, slab, message):
         """Reopening raises a ValueError naming ``slab``, then
         ``message``."""
-        cls, config = chain_config("geometric", "uniform", False)
+        cls, config = chain_config("geometric", "uniform")
         blocks = cls.required_blocks(config, TEST_BLOCK)
         with pytest.raises(ValueError,
                            match=f"{re.escape(str(slab))} {message}"):

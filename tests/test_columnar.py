@@ -6,11 +6,12 @@ The engine's contract has two halves, and this module pins both:
   (``encode_many`` / ``decode_many`` / :class:`RecordBatch`) produces
   and consumes exactly the bytes the scalar ``struct`` codec does, for
   every record size, weighted or not (hypothesis property tests);
-* **engine identity** -- a ``columnar=True`` structure driven over the
-  same stream with the same seed charges bit-exact simulated I/O and
-  holds the *same sample* as its scalar twin, across the geometric
-  file, the multi-file structure, and all three baselines, on every
-  device kind (cost-only, byte-storing, in-memory).
+* **engine identity** -- over the same stream with the same seed, a
+  geometric file or multi-file structure fed record lists
+  (``offer_many``) and its twin fed slabs (``offer_batch``) charge
+  bit-exact simulated I/O and hold the *same sample*; each baseline's
+  ``columnar=True`` twin does the same against its record-list twin.
+  Both hold on every device kind (cost-only, byte-storing, in-memory).
 
 Statistical acceptance (chi-square membership, KS on estimator
 outputs) and the query-side surfaces (``sample_batch`` /
@@ -34,7 +35,6 @@ from conftest import (
     TEST_BLOCK,
     keyed_records,
     make_geometric_file,
-    make_multi_file,
     small_disk_params,
 )
 from repro.baselines import (
@@ -43,8 +43,10 @@ from repro.baselines import (
     ScanReservoir,
     VirtualMemoryReservoir,
 )
+from repro.core.biased_file import BiasedGeometricFile
 from repro.core.buffer import SampleBuffer
 from repro.core.checkpoint import load_geometric_file, save_geometric_file
+from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.core.managed import ManagedSample
 from repro.core.zonemap import ZoneMapIndex
 from repro.estimate.aqp import BatchQuery, SampleQuery
@@ -84,9 +86,7 @@ def drive_twins(scalar, columnar, records: list[Record],
 
 
 def sorted_sample_keys(structure) -> list[int]:
-    if getattr(structure, "columnar", False):
-        return sorted(structure.sample_batch().keys.tolist())
-    return sorted(r.key for r in structure.sample())
+    return sorted(structure.sample_batch().keys.tolist())
 
 
 def assert_twins_identical(scalar, columnar) -> None:
@@ -267,21 +267,21 @@ BASELINES = [VirtualMemoryReservoir, ScanReservoir, LocalOverwriteReservoir]
 
 
 class TestEngineIdentity:
+    """The geometric structures keep records in slabs whatever the
+    verb: record lists are encoded at the edge and must draw exactly
+    what slabs do."""
+
     @pytest.mark.parametrize("kind", DEVICE_KINDS)
     def test_geometric_file_twins(self, kind):
-        scalar, columnar = [
-            self._make_gf(kind, columnar=flag) for flag in (False, True)
-        ]
-        drive_twins(scalar, columnar, keyed_records(3000))
-        assert_twins_identical(scalar, columnar)
+        lists, slabs = self._make_gf(kind), self._make_gf(kind)
+        drive_twins(lists, slabs, keyed_records(3000))
+        assert_twins_identical(lists, slabs)
 
     @pytest.mark.parametrize("kind", DEVICE_KINDS)
     def test_multi_file_twins(self, kind):
-        scalar, columnar = [
-            self._make_multi(kind, columnar=flag) for flag in (False, True)
-        ]
-        drive_twins(scalar, columnar, keyed_records(3000))
-        assert_twins_identical(scalar, columnar)
+        lists, slabs = self._make_multi(kind), self._make_multi(kind)
+        drive_twins(lists, slabs, keyed_records(3000))
+        assert_twins_identical(lists, slabs)
 
     @pytest.mark.parametrize("kind", DEVICE_KINDS)
     @pytest.mark.parametrize("cls", BASELINES)
@@ -307,36 +307,21 @@ class TestEngineIdentity:
         assert len(got) == columnar.capacity
         assert set(got.keys.tolist()) <= set(range(1500))
 
-    def test_scalar_offer_loop_matches_on_columnar_file(self):
-        """offer() on a columnar file stays bit-exact with scalar."""
-        scalar = self._make_gf("sim", columnar=False)
-        columnar = self._make_gf("sim", columnar=True)
-        for r in keyed_records(2000):
-            scalar.offer(r)
-            columnar.offer(r)
-        assert_twins_identical(scalar, columnar)
-
-    def _make_gf(self, kind, *, columnar):
-        from repro.core.geometric_file import (
-            GeometricFile,
-            GeometricFileConfig,
-        )
-
+    def _make_gf(self, kind):
         config = GeometricFileConfig(
             capacity=800, buffer_capacity=100, record_size=40,
             beta_records=10, retain_records=True, admission="uniform",
-            columnar=columnar,
         )
         blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
         return GeometricFile(make_device(kind, blocks), config, seed=5)
 
-    def _make_multi(self, kind, *, columnar):
+    def _make_multi(self, kind):
         from repro.core.multi import MultiFileConfig, MultipleGeometricFiles
 
         config = MultiFileConfig(
             capacity=800, buffer_capacity=100, record_size=40,
             beta_records=10, retain_records=True, admission="uniform",
-            alpha_prime=0.8, columnar=columnar,
+            alpha_prime=0.8,
         )
         blocks = MultipleGeometricFiles.required_blocks(config, TEST_BLOCK)
         return MultipleGeometricFiles(make_device(kind, blocks), config,
@@ -359,15 +344,9 @@ class TestSegmentReadback:
     def test_flushed_segments_decode_to_ledger_slices(self):
         """Bytes on a retaining device decode back to the exact rows
         the newest ledger holds, level by level."""
-        from repro.core.geometric_file import (
-            GeometricFile,
-            GeometricFileConfig,
-        )
-
         config = GeometricFileConfig(
             capacity=600, buffer_capacity=100, record_size=40,
             beta_records=10, retain_records=True, admission="always",
-            columnar=True,
         )
         blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
         device = SimulatedBlockDevice(blocks, small_disk_params(),
@@ -398,8 +377,8 @@ class TestSegmentReadback:
 
 class TestDistributionalIdentity:
     def test_columnar_membership_is_uniform(self):
-        """Chi-square: P[record j resident] = N/stream on the columnar
-        engine, against the exact uniform-reservoir expectation."""
+        """Chi-square: P[record j resident] = N/stream for a slab-fed
+        file, against the exact uniform-reservoir expectation."""
         trials, stream = 80, 900
         counts = collections.Counter()
         capacity = None
@@ -407,7 +386,7 @@ class TestDistributionalIdentity:
         batch = stream_batch(schema, keyed_records(stream))
         for t in range(trials):
             gf = make_geometric_file(capacity=300, buffer_capacity=30,
-                                     seed=t, columnar=True)
+                                     seed=t)
             capacity = gf.capacity
             for start in range(0, stream, 128):
                 gf.offer_batch(batch[start:start + 128])
@@ -416,8 +395,9 @@ class TestDistributionalIdentity:
         assert chi_square_p(counts, expected) > P_MIN
 
     def test_estimator_outputs_match_across_seeds(self):
-        """KS: AVG estimates from columnar samples are distributed as
-        AVG estimates from scalar samples of the same stream."""
+        """KS: AVG estimates over ``sample_batch`` of slab-fed files are
+        distributed as AVG estimates over ``sample`` of files fed
+        record lists, for the same stream."""
         records = value_records(900, seed=42)
         schema = RecordSchema(40)
         batch = stream_batch(schema, records)
@@ -426,7 +406,7 @@ class TestDistributionalIdentity:
             scalar = make_geometric_file(capacity=300, buffer_capacity=30,
                                          seed=t)
             columnar = make_geometric_file(capacity=300, buffer_capacity=30,
-                                           seed=t + 10 ** 6, columnar=True)
+                                           seed=t + 10 ** 6)
             for start in range(0, 900, 128):
                 scalar.offer_many(records[start:start + 128])
                 columnar.offer_batch(batch[start:start + 128])
@@ -442,8 +422,7 @@ class TestDistributionalIdentity:
         reassociation."""
         records = value_records(600, seed=9)
         schema = RecordSchema(40)
-        gf = make_geometric_file(capacity=300, buffer_capacity=30,
-                                 columnar=True)
+        gf = make_geometric_file(capacity=300, buffer_capacity=30)
         batch_stream = stream_batch(schema, records)
         for start in range(0, 600, 100):
             gf.offer_batch(batch_stream[start:start + 100])
@@ -468,8 +447,7 @@ class TestDistributionalIdentity:
 
 class TestZoneMapBatch:
     def _file(self):
-        gf = make_geometric_file(capacity=400, buffer_capacity=40,
-                                 columnar=True)
+        gf = make_geometric_file(capacity=400, buffer_capacity=40)
         schema = RecordSchema(40)
         batch = stream_batch(schema, keyed_records(1200))
         for start in range(0, 1200, 100):
@@ -488,7 +466,14 @@ class TestZoneMapBatch:
         assert batch_stats == iter_stats
 
     def test_query_batch_requires_columnar_file(self):
-        gf = make_geometric_file(capacity=200, buffer_capacity=20)
+        """The biased file keeps record lists (weights ride beside
+        them), so its zone map answers only the record iterator."""
+        config = GeometricFileConfig(capacity=200, buffer_capacity=20,
+                                     record_size=40, beta_records=4,
+                                     retain_records=True)
+        blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
+        gf = BiasedGeometricFile(
+            SimulatedBlockDevice(blocks, small_disk_params()), config)
         for r in keyed_records(300):
             gf.offer(r)
         index = ZoneMapIndex(gf, field="value")
@@ -501,8 +486,7 @@ class TestZoneMapBatch:
 
 class TestCheckpointColumnar:
     def test_round_trip_restores_columnar_ledgers(self):
-        gf = make_geometric_file(capacity=300, buffer_capacity=30,
-                                 columnar=True)
+        gf = make_geometric_file(capacity=300, buffer_capacity=30)
         schema = RecordSchema(40)
         batch = stream_batch(schema, keyed_records(900))
         for start in range(0, 900, 90):
@@ -513,7 +497,8 @@ class TestCheckpointColumnar:
         blocks = gf.device.n_blocks
         restored = load_geometric_file(
             sink, SimulatedBlockDevice(blocks, small_disk_params()))
-        assert restored.columnar
+        assert all(isinstance(ledger.records, RecordBatch)
+                   for ledger in restored.subsamples)
         assert sorted_sample_keys(restored) == sorted_sample_keys(gf)
         # Bit-identical continuation: the restored file and the
         # original make the same decisions over the same future stream.
@@ -528,15 +513,9 @@ class TestCheckpointColumnar:
 
 class TestManagedColumnar:
     def test_offer_batch_checkpoints_and_restores(self, tmp_path):
-        from repro.core.geometric_file import (
-            GeometricFile,
-            GeometricFileConfig,
-        )
-
         config = GeometricFileConfig(
             capacity=300, buffer_capacity=30, record_size=40,
             beta_records=4, retain_records=True, admission="uniform",
-            columnar=True,
         )
         blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
 
@@ -553,7 +532,8 @@ class TestManagedColumnar:
         assert path.exists()
         assert managed.flushes > 0
         reopened = ManagedSample.restore(path, device_factory)
-        assert reopened.columnar
+        assert all(isinstance(ledger.records, RecordBatch)
+                   for ledger in reopened.subsamples)
         assert sorted_sample_keys(reopened.structure) == \
             sorted_sample_keys(managed.structure)
 
@@ -563,12 +543,9 @@ class TestManagedColumnar:
 
 class TestShardedBatchQueries:
     def _config(self):
-        from repro.core.geometric_file import GeometricFileConfig
-
         return GeometricFileConfig(
             capacity=200, buffer_capacity=20, record_size=32,
             beta_records=4, retain_records=True, admission="uniform",
-            columnar=True,
         )
 
     def test_snapshot_batch_and_query_batch(self, tmp_path):

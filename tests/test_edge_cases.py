@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import TEST_BLOCK, make_geometric_file, small_disk_params
+from conftest import TEST_BLOCK, make_geometric_file
 from repro.bench.report import _format_time
 from repro.core.buffer import SampleBuffer
 from repro.core.geometric_file import GeometricFile, GeometricFileConfig

@@ -5,12 +5,7 @@ import statistics
 import pytest
 
 from conftest import TEST_BLOCK, make_geometric_file, make_multi_file
-from repro.baselines import (
-    DiskReservoirConfig,
-    LocalOverwriteReservoir,
-    ScanReservoir,
-    VirtualMemoryReservoir,
-)
+from repro.baselines import DiskReservoirConfig, ScanReservoir
 from repro.bench import experiment_1, run_until
 from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.core.zonemap import ZoneMapIndex

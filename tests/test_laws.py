@@ -6,7 +6,7 @@ Three layers of coverage:
   multi-file) built with an explicit ``law="uniform"`` must replay the
   pre-refactor RNG streams exactly -- identical sample keys, equal
   DiskStats, equal simulated clock -- against a default-config twin,
-  on memory, simulated, and simulated+columnar devices.
+  on memory and simulated devices, fed record lists or slabs.
 
 * **Distributional equivalence** for the three new laws: chi-square /
   KS comparisons of the disk engine against the in-memory reference
@@ -40,7 +40,6 @@ from repro.core.managed import ManagedSample
 from repro.core.multi import MultiFileConfig, MultipleGeometricFiles
 from repro.sampling import feed_stream
 from repro.sampling.laws import (
-    LAW_NAMES,
     AExpJLaw,
     SlidingWindowLaw,
     UniformLaw,
@@ -255,8 +254,7 @@ class TestUniformTwinParity:
         for law_kw in ({}, {"law": "uniform"}):
             config = GeometricFileConfig(
                 capacity=300, buffer_capacity=30, record_size=40,
-                beta_records=4, retain_records=True, columnar=True,
-                **law_kw)
+                beta_records=4, retain_records=True, **law_kw)
             blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
             dev = SimulatedBlockDevice(blocks, small_disk_params())
             gf = GeometricFile(dev, config, seed=5)
@@ -497,7 +495,7 @@ class TestSlidingWindow:
         assert len(gf.sample()) == self.CAPACITY // 4
 
 
-# -- columnar path for the new laws -------------------------------------------
+# -- slab verbs for the new laws ------------------------------------------------
 
 
 class TestColumnarLaws:
@@ -507,8 +505,7 @@ class TestColumnarLaws:
         ("window", (("window", 600), ("sample_size", 30))),
     ])
     def test_offer_batch_and_sample_batch(self, law, params):
-        gf = law_file(law, params, capacity=100, columnar=True,
-                      device="sim")
+        gf = law_file(law, params, capacity=100, device="sim")
         records = valued_records(2000)
         for start in range(0, 2000, 250):
             gf.offer_batch(records[start:start + 250])
@@ -518,7 +515,9 @@ class TestColumnarLaws:
         gf.check_invariants()
 
     def test_columnar_matches_object_distribution(self):
-        """Columnar and object A-ExpJ agree by weight class (KS)."""
+        """A-ExpJ fed slabs and read by ``sample_batch`` agrees by
+        weight class with A-ExpJ fed record lists and read by
+        ``sample`` (KS)."""
         stream = valued_records(400)
         object_values, columnar_values = [], []
         for trial in range(60):
@@ -527,7 +526,7 @@ class TestColumnarLaws:
             a.offer_many(stream)
             object_values.extend(r.value for r in a.sample())
             b = law_file("aexpj", (("weight", "value"),), capacity=60,
-                         seed=5_000 + trial, columnar=True)
+                         seed=5_000 + trial)
             b.offer_batch(stream)
             columnar_values.extend(b.sample_batch().values.tolist())
         p = scipy_stats.ks_2samp(object_values, columnar_values).pvalue

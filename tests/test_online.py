@@ -1,6 +1,5 @@
 """Tests for online aggregation and ripple joins (Section 9)."""
 
-import math
 import random
 import statistics
 

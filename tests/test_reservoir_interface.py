@@ -282,11 +282,7 @@ def _baseline(cls, columnar, seed):
 
 QUERY_RNG_STRUCTURES = {
     "geo-list": lambda seed: make_geometric_file(2000, 200, seed=seed),
-    "geo-columnar": lambda seed: make_geometric_file(
-        2000, 200, seed=seed, columnar=True),
     "multi-list": lambda seed: make_multi_file(2000, 200, seed=seed),
-    "multi-columnar": lambda seed: make_multi_file(
-        2000, 200, seed=seed, columnar=True),
     "scan-list": lambda seed: _baseline(ScanReservoir, False, seed),
     "scan-columnar": lambda seed: _baseline(ScanReservoir, True, seed),
     "overwrite-list": lambda seed: _baseline(

@@ -153,6 +153,33 @@ def test_ring_is_fifo_across_wraparound_property(sizes):
         ring.unlink()
 
 
+def test_empty_ring_rewinds_so_its_footprint_follows_the_traffic():
+    """A frame pushed into an emptied ring rewinds to offset 0 unless
+    it fits before the previous one's end, so a ring far larger than
+    its traffic writes only within two frames of its start (plus the
+    pad trailer's last page)."""
+    ring = SlabRing(capacity=1 << 16)
+    reach = 2 * frame_bytes(1000)
+    try:
+        for seq, n in enumerate([700, 1000, 300, 1000, 64] * 20):
+            assert ring.try_push(KIND_DATA, seq, bytes([seq % 251]) * n)
+            assert ring.tail % ring.capacity <= reach
+            slab = ring.try_pop()
+            assert (slab.seq, bytes(slab.view)) == (
+                seq, bytes([seq % 251]) * n)
+            ring.pop_done(slab)
+        view = ring.try_reserve(500)
+        view[:] = b"r" * 500
+        ring.commit(KIND_DATA, 100, n_bytes=500)
+        assert ring.tail % ring.capacity <= reach
+        slab = ring.try_pop()
+        assert bytes(slab.view) == b"r" * 500
+        ring.pop_done(slab)
+        assert ring.used_bytes == 0
+    finally:
+        ring.unlink()
+
+
 def test_ring_detects_torn_header_and_trailer():
     """Corrupted frames raise TornSlabError instead of decoding."""
     ring = SlabRing(capacity=1024)

@@ -12,7 +12,6 @@ structure's guarantees hold:
 """
 
 import io
-import random
 
 from hypothesis import settings
 from hypothesis import strategies as st

@@ -40,6 +40,7 @@ from typing import Iterable, Iterator
 from ..reservoir import StreamReservoir
 from ..sampling.weights import WeightFunction, uniform_weight
 from ..storage.device import BlockDevice
+from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record
 from .geometric_file import GeometricFile, GeometricFileConfig
 from .multi import MultiFileConfig, MultipleGeometricFiles
@@ -132,6 +133,18 @@ class BiasedSamplingMixin:
         for record in records:
             offer(record)
         return self._samples_added - before
+
+    def offer_batch(self, batch) -> int:
+        """Present a batch (``RecordBatch`` or sequence of records)
+        through the weighted path.
+
+        The inherited slab gate would draw the uniform admission mask,
+        the wrong law for Algorithm 4, so a ``RecordBatch`` is decoded
+        once and offered like a record list.
+        """
+        if isinstance(batch, RecordBatch):
+            batch = batch.to_records()
+        return self.offer_many(batch)
 
     def ingest(self, n: int) -> None:
         """Count-only ingestion is undefined for weighted streams."""

@@ -67,19 +67,13 @@ class SampleBuffer:
             :meth:`drain` (via :meth:`take_aux`); the Algorithm 2
             replacement verbs are uniform-law-only and refuse an
             aux-carrying buffer.
-        numpy_shuffle: drain a slab through one numpy ``permutation``
-            seeded from ``rng`` (one ``getrandbits(64)`` per drain)
-            instead of a Python shuffle of an index list.  The
-            geometric structures use it; the baselines keep the Python
-            shuffle, which consumes ``rng`` exactly as their record-list
-            twin does.
     """
 
     def __init__(self, capacity: int, rng: random.Random,
                  *, retain_records: bool = True,
                  np_rng: np.random.Generator | None = None,
                  schema: RecordSchema | None = None,
-                 aux_width: int = 0, numpy_shuffle: bool = False) -> None:
+                 aux_width: int = 0) -> None:
         if capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
         if schema is not None and schema.weighted:
@@ -106,7 +100,6 @@ class SampleBuffer:
             np.zeros((capacity, aux_width)) if aux_width else None
         )
         self._drained_aux: np.ndarray | None = None
-        self._numpy_shuffle = numpy_shuffle
         self._count = 0
         self._scale = 1.0
 
@@ -575,17 +568,13 @@ class SampleBuffer:
         """
         if self._slab is not None:
             count = self._count
-            if self._numpy_shuffle:
-                index = np.random.default_rng(
-                    self._rng.getrandbits(64)).permutation(count)
-            else:
-                # Shuffle an index list through the *same* random.Random
-                # the object path shuffles its record list with: both
-                # modes consume identical RNG streams, so flush cadence
-                # and every downstream draw stay bit-exact between them.
-                order = list(range(count))
-                self._rng.shuffle(order)
-                index = np.asarray(order, dtype=np.intp)
+            # Shuffle an index list through the *same* random.Random
+            # the object path shuffles its record list with: both modes
+            # consume identical RNG streams, so flush cadence and every
+            # downstream draw stay bit-exact between them.
+            order = list(range(count))
+            self._rng.shuffle(order)
+            index = np.asarray(order, dtype=np.intp)
             batch = RecordBatch(self._schema, self._slab[:count][index])
             if self._aux is not None:
                 self._drained_aux = self._aux[:count][index]

@@ -215,8 +215,7 @@ class GeometricFile(StreamReservoir):
                                    retain_records=config.retain_records,
                                    np_rng=self._np_rng,
                                    schema=self.schema if slabs else None,
-                                   aux_width=law.aux_width,
-                                   numpy_shuffle=True)
+                                   aux_width=law.aux_width)
         #: Encode real segment payloads only when the device can hand
         #: them back; cost-only devices keep the write_zeros charge.
         self._store_bytes = slabs and device_stores_bytes(device)
@@ -293,12 +292,13 @@ class GeometricFile(StreamReservoir):
             k: optionally a uniform ``k``-subset; ``None`` returns the
                 full reservoir.
             rng: a ``random.Random`` or ``numpy.random.Generator`` for
-                every draw of the read.  Without one the read draws
-                from a generator seeded from the structure's
-                ``random.Random`` and never from its numpy generator.
+                every draw of the read.  Without one, both draws come
+                from the structure's ``random.Random``, as the
+                record-list read's ``apply_pending`` and ``sample(records,
+                k)`` drew them, and none from its numpy generator.
         """
-        self._require_records()
-        return self.sample_batch(k, rng=self._sample_rng(rng)).to_records()
+        gen = rng if rng is not None else self._rng
+        return self._read(k, gen, gen).to_records()
 
     def sample_batch(self, k: int | None = None, *, rng=None) -> RecordBatch:
         """The current reservoir, or a uniform ``k``-subset of it.
@@ -315,19 +315,23 @@ class GeometricFile(StreamReservoir):
                 for every draw of the read, so a query need not touch
                 the structure's own streams.  Without one, the pending
                 rows' victims come from the structure's
-                ``random.Random`` and the ``k`` positions from its numpy
-                generator -- one ``choice(size, k)``, the draw reads
-                have always made there.
+                ``random.Random`` (the record-list read's
+                ``apply_pending`` draw) and the ``k`` positions from its
+                numpy generator (one ``choice(size, k)``), so every
+                later admission and flush sees the generator states it
+                always saw.
         """
-        self.flush_barrier()
-        self._require_records()
-        victims_rng, positions_rng = self._read_rngs(rng)
-        return RecordBatch(self.schema, self._law.read_batch(
-            self, k, victims_rng, positions_rng))
+        if rng is None:
+            return self._read(k, self._rng, self._np_rng)
+        return self._read(k, rng, rng)
 
-    def _require_records(self) -> None:
+    def _read(self, k: int | None, victims_rng, positions_rng
+              ) -> RecordBatch:
+        self.flush_barrier()
         if not self.config.retain_records:
             raise TypeError("file is running in count-only mode")
+        return RecordBatch(self.schema, self._law.read_batch(
+            self, k, victims_rng, positions_rng))
 
     def check_invariants(self) -> None:
         """Assert every ledger's conservation law; used heavily by tests."""

@@ -128,8 +128,7 @@ class MultipleGeometricFiles(StreamReservoir):
                                    retain_records=config.retain_records,
                                    np_rng=self._np_rng,
                                    schema=self.schema if slabs else None,
-                                   aux_width=law.aux_width,
-                                   numpy_shuffle=True)
+                                   aux_width=law.aux_width)
         self._store_bytes = slabs and device_stores_bytes(device)
         self._victim_scratch = VictimScratch()
         self._startup_sizes = startup_fill_sizes(
@@ -235,22 +234,24 @@ class MultipleGeometricFiles(StreamReservoir):
     def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
         """:meth:`sample_batch`'s rows as records; see
         :meth:`~repro.core.geometric_file.GeometricFile.sample`."""
-        self._require_records()
-        return self.sample_batch(k, rng=self._sample_rng(rng)).to_records()
+        gen = rng if rng is not None else self._rng
+        return self._read(k, gen, gen).to_records()
 
     def sample_batch(self, k: int | None = None, *, rng=None) -> RecordBatch:
         """Current reservoir, or a uniform ``k``-subset, as one
         :class:`RecordBatch`; see
         :meth:`~repro.core.geometric_file.GeometricFile.sample_batch`."""
-        self.flush_barrier()
-        self._require_records()
-        victims_rng, positions_rng = self._read_rngs(rng)
-        return RecordBatch(self.schema, self._law.read_batch(
-            self, k, victims_rng, positions_rng))
+        if rng is None:
+            return self._read(k, self._rng, self._np_rng)
+        return self._read(k, rng, rng)
 
-    def _require_records(self) -> None:
+    def _read(self, k: int | None, victims_rng, positions_rng
+              ) -> RecordBatch:
+        self.flush_barrier()
         if not self.config.retain_records:
             raise TypeError("files are running in count-only mode")
+        return RecordBatch(self.schema, self._law.read_batch(
+            self, k, victims_rng, positions_rng))
 
     def check_invariants(self) -> None:
         """Assert every ledger's conservation law and the global size."""

@@ -66,6 +66,14 @@ class ZoneMapStats:
         return 1.0 - self.subsamples_scanned / self.subsamples_total
 
 
+def _records(records):
+    """A ledger's records as objects: a slab decoded in one call, a
+    record list as it is."""
+    if isinstance(records, RecordBatch):
+        return records.to_records()
+    return records
+
+
 class ZoneMapIndex:
     """Per-subsample [min, max] envelopes over one record field.
 
@@ -152,7 +160,7 @@ class ZoneMapIndex:
                     float(column.min()), float(column.max())
                 )
                 continue
-            values = [self._extract(r) for r in ledger.records]
+            values = [self._extract(r) for r in _records(ledger.records)]
             self._envelopes[ledger.ident] = _Envelope(min(values),
                                                       max(values))
         for ident in list(self._envelopes):
@@ -189,26 +197,41 @@ class ZoneMapIndex:
         self.refresh()
         stats = ZoneMapStats()
         self._last_stats = stats
-        for ledger in self._gf.subsamples:
+        gf = self._gf
+        for ledger in gf.subsamples:
             stats.subsamples_total += 1
             envelope = self._envelopes.get(ledger.ident)
             if envelope is None or not envelope.intersects(low, high):
                 continue
             stats.subsamples_scanned += 1
-            for record in ledger.records or ():
-                stats.records_scanned += 1
-                value = self._extract(record)
-                if low <= value <= high:
-                    stats.records_matched += 1
-                    yield record
-        if self._gf.buffer.retains_records:
-            for record in self._gf.buffer:
-                stats.records_scanned += 1
-                value = self._extract(record)
-                if low <= value <= high:
-                    stats.records_matched += 1
-                    yield record
+            yield from self._scan(ledger.records or (), low, high, stats)
+        if gf.buffer.columnar:
+            yield from self._scan(RecordBatch(gf.schema,
+                                              gf.buffer.pending_view()),
+                                  low, high, stats)
+        elif gf.buffer.retains_records:
+            yield from self._scan(gf.buffer, low, high, stats)
         self._emit_query(stats)
+
+    def _scan(self, records, low: float, high: float,
+              stats: ZoneMapStats) -> Iterator[Record]:
+        """:meth:`query`'s filter over one ledger's (or the buffer's)
+        records: a slab with a named field is masked first, so only the
+        matching rows are decoded."""
+        column = self._column_of(records)
+        if column is not None:
+            mask = (column >= low) & (column <= high)
+            matches = RecordBatch(records.schema, records.array[mask])
+            stats.records_scanned += len(column)
+            stats.records_matched += len(matches)
+            yield from matches.to_records()
+            return
+        for record in _records(records):
+            stats.records_scanned += 1
+            value = self._extract(record)
+            if low <= value <= high:
+                stats.records_matched += 1
+                yield record
 
     def query_batch(self, low: float, high: float) -> RecordBatch:
         """Columnar :meth:`query`: one :class:`RecordBatch` of matches.

@@ -177,13 +177,18 @@ class VictimScratch:
         return self._buf[:n]
 
 
-def as_generator(rng) -> np.random.Generator:
-    """The numpy generator a read's ``rng=`` stands for: a ``Generator``
-    as it is, a ``random.Random`` as a fresh generator seeded from 64 of
-    its bits."""
+def draw_distinct(rng: random.Random | np.random.Generator, n: int,
+                  k: int) -> np.ndarray:
+    """A uniform, uniformly ordered ``k``-subset of ``range(n)``.
+
+    A ``random.Random`` draws it as ``rng.sample(range(n), k)``, a numpy
+    ``Generator`` as ``rng.choice(n, size=k, replace=False)``: the draws
+    the record-list reads made (``apply_pending``, ``_thin_records``,
+    ``_thin_batch``), so a read consumes each generator as they did.
+    """
     if isinstance(rng, random.Random):
-        return np.random.default_rng(rng.getrandbits(64))
-    return rng
+        return np.fromiter(rng.sample(range(n), k), dtype=np.intp, count=k)
+    return rng.choice(n, size=k, replace=False)
 
 
 def _distinct_integers(rng: np.random.Generator, low: int, high: int,
@@ -677,29 +682,6 @@ class StreamReservoir(abc.ABC):
         """
         return self.sample_batch(k, rng=rng), self._seen
 
-    def _read_rngs(self, rng) -> tuple[np.random.Generator,
-                                        np.random.Generator]:
-        """(victim generator, position generator) for one ``sample_batch``.
-
-        A caller's ``rng`` drives both draws.  Without one, the pending
-        rows' victims come from a generator seeded from ``_rng``, which
-        decides content only, and the ``k`` positions from ``_np_rng``:
-        the one ``choice`` the record-list read always made there, so
-        reads leave the simulated disk where it was.
-        """
-        if rng is not None:
-            gen = as_generator(rng)
-            return gen, gen
-        return (np.random.default_rng(self._rng.getrandbits(64)),
-                self._np_rng)
-
-    def _sample_rng(self, rng) -> np.random.Generator:
-        """The generator a record-returning ``sample`` draws from: the
-        caller's, else one seeded from ``_rng`` -- never ``_np_rng``."""
-        if rng is not None:
-            return as_generator(rng)
-        return np.random.default_rng(self._rng.getrandbits(64))
-
     def _thin_batch(self, batch, k: int | None, rng):
         if k is None:
             return batch
@@ -792,22 +774,23 @@ class StreamReservoir(abc.ABC):
 
     @staticmethod
     def apply_pending_batch(disk: np.ndarray, pending: np.ndarray,
-                            np_rng: np.random.Generator) -> np.ndarray:
+                            rng: random.Random | np.random.Generator
+                            ) -> np.ndarray:
         """Vectorised :meth:`apply_pending` over structured row arrays.
 
-        The victim set is the same uniform without-replacement draw;
-        victims are overwritten *in place* by the pending rows (the
-        same multiset as survivors-plus-pending, one fancy-index write
-        instead of an O(n) rebuild).  ``disk`` must be a freshly
-        allocated array the caller owns -- typically the
-        ``np.concatenate`` of ledger slabs.
+        The victim set is the same uniform without-replacement draw
+        (:func:`draw_distinct`; from a ``random.Random`` exactly
+        :meth:`apply_pending`'s); victims are overwritten *in place* by
+        the pending rows (the same multiset as survivors-plus-pending,
+        one fancy-index write instead of an O(n) rebuild).  ``disk``
+        must be a freshly allocated array the caller owns -- typically
+        the ``np.concatenate`` of ledger slabs.
         """
         if len(pending) == 0:
             return disk
         if len(pending) > len(disk):
             raise ValueError("more pending records than disk residents")
-        victims = np_rng.choice(len(disk), size=len(pending),
-                                replace=False)
+        victims = draw_distinct(rng, len(disk), len(pending))
         disk[victims] = pending
         return disk
 

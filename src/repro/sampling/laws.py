@@ -83,7 +83,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..reservoir import StreamReservoir, hypergeometric
+from ..reservoir import StreamReservoir, draw_distinct, hypergeometric
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record
 from .weights import (
@@ -268,16 +268,18 @@ class SamplingLaw:
 
     # -- reads -------------------------------------------------------------
 
-    def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
+    def materialize_batch(self, gf, gen) -> np.ndarray:
         raise NotImplementedError
 
-    def read_batch(self, gf, k: int | None, victims_rng: np.random.Generator,
-                   positions_rng: np.random.Generator) -> np.ndarray:
+    def read_batch(self, gf, k: int | None, victims_rng,
+                   positions_rng) -> np.ndarray:
         """Rows of a ``k``-read (``None``: the whole sample).
 
         Materialise-then-thin: ``victims_rng`` places the pending rows,
         then ``positions_rng`` draws a uniform ``k``-subset, in uniform
-        order, of the materialised rows.
+        order, of the materialised rows.  Each generator is a
+        ``random.Random`` or a numpy ``Generator``
+        (:func:`~repro.reservoir.draw_distinct`).
         """
         combined = self.materialize_batch(gf, victims_rng)
         if k is None:
@@ -285,8 +287,7 @@ class SamplingLaw:
         if k > len(combined):
             raise ValueError(
                 f"cannot draw {k} records from a sample of {len(combined)}")
-        return combined[positions_rng.choice(len(combined), size=k,
-                                             replace=False)]
+        return combined[draw_distinct(positions_rng, len(combined), k)]
 
     def sample_size(self, gf) -> int:
         """Rows a full read holds right now (materialises to count them;
@@ -311,18 +312,21 @@ class SamplingLaw:
 
     # -- shared helpers ----------------------------------------------------
 
-    def _disk_records(self, gf) -> list:
-        combined: list = []
-        for ledger in gf.iter_ledgers():
-            combined.extend(ledger.records or ())
-        return combined
-
     def _disk_parts(self, gf) -> list[np.ndarray]:
         return [ledger.records.array for ledger in gf.iter_ledgers()
                 if ledger.records is not None and len(ledger.records)]
 
-    def _materialize_pending(self, gf, gen: np.random.Generator
-                             ) -> np.ndarray:
+    def _all_rows(self, gf) -> np.ndarray:
+        """Every resident row, then every pending one: the row order of
+        the aux keys :meth:`_disk_aux` and ``aux_view`` concatenate."""
+        parts = self._disk_parts(gf)
+        pending = gf.buffer.pending_view()
+        if len(pending):
+            parts = parts + [pending]
+        return (np.concatenate(parts) if parts
+                else np.empty(0, dtype=gf.schema.dtype))
+
+    def _materialize_pending(self, gf, gen) -> np.ndarray:
         """Disk rows with each pending row overwriting a uniform victim
         (every row while the reservoir is still filling)."""
         dtype = gf.schema.dtype
@@ -504,24 +508,24 @@ class UniformLaw(SamplingLaw):
 
     # -- reads (GeometricFile.sample* bodies) ------------------------------
 
-    def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
+    def materialize_batch(self, gf, gen) -> np.ndarray:
         return self._materialize_pending(gf, gen)
 
     def sample_size(self, gf) -> int:
         return self._pending_apply_size(gf)
 
-    def read_batch(self, gf, k: int | None, victims_rng: np.random.Generator,
-                   positions_rng: np.random.Generator) -> np.ndarray:
+    def read_batch(self, gf, k: int | None, victims_rng,
+                   positions_rng) -> np.ndarray:
         """A ``k``-read that gathers only the ``k`` rows it returns.
 
-        It makes materialise-then-thin's draws, in its order -- the
-        pending rows' victims among the disk rows, then ``k`` positions
-        of the materialised order -- and resolves each position without
-        building that order: a victim position yields its pending row,
-        any other disk position its (ledger, row) pair, found by a
-        ``searchsorted`` over the ledgers' cumulative live counts.  From
-        the same generator states it returns the very rows
-        materialise-then-thin does.
+        It makes materialise-then-thin's draws, in its order and with
+        its checks between them -- the pending rows' victims among the
+        disk rows, then ``k`` positions of the materialised order -- and
+        resolves each position without building that order: a victim
+        position yields its pending row, any other disk position its
+        (ledger, row) pair, found by a ``searchsorted`` over the
+        ledgers' cumulative live counts.  From the same generator
+        states it returns the very rows materialise-then-thin does.
         """
         if k is None:
             return self.materialize_batch(gf, victims_rng)
@@ -533,16 +537,15 @@ class UniformLaw(SamplingLaw):
         pending = gf.buffer.pending_view()
         startup = gf.in_startup
         size = disk + len(pending) if startup else disk
-        if k > size:
-            raise ValueError(
-                f"cannot draw {k} records from a sample of {size}")
         victims = None
         if len(pending) and not startup:
             if len(pending) > disk:
                 raise ValueError("more pending records than disk residents")
-            victims = victims_rng.choice(disk, size=len(pending),
-                                         replace=False)
-        positions = positions_rng.choice(size, size=k, replace=False)
+            victims = draw_distinct(victims_rng, disk, len(pending))
+        if k > size:
+            raise ValueError(
+                f"cannot draw {k} records from a sample of {size}")
+        positions = draw_distinct(positions_rng, size, k)
         out = np.empty(k, dtype=gf.schema.dtype)
         on_disk = positions < disk
         if startup:
@@ -721,32 +724,35 @@ class AExpJLaw(_WeightedLaw):
             return np.arange(k, dtype=np.int64)
         return np.argsort(keys, kind="stable")[keys.shape[0] - k:]
 
-    def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
-        dtype = gf.schema.dtype
-        parts = self._disk_parts(gf)
-        pending = gf.buffer.pending_view()
-        if len(pending):
-            parts = parts + [pending]
-        combined = (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
-        keys = np.concatenate(
+    def _keys(self, gf) -> np.ndarray:
+        return np.concatenate(
             [self._disk_aux(gf)[:, 0], gf.buffer.aux_view()[:, 0]])
-        return combined[self._top_k_indices(gf, keys)]
 
-    def sample_keyed(self, gf) -> tuple[list, np.ndarray]:
-        """The current sample with its log keys, best key first.
+    def materialize_batch(self, gf, gen) -> np.ndarray:
+        return self._all_rows(gf)[self._top_k_indices(gf, self._keys(gf))]
+
+    def sample_size(self, gf) -> int:
+        rows = gf.buffer.count + sum(
+            len(ledger.aux) for ledger in gf.iter_ledgers()
+            if ledger.aux is not None)
+        return min(rows, gf.capacity)
+
+    def sample_keyed(self, gf, k: int) -> tuple[RecordBatch, np.ndarray]:
+        """The current sample's best ``k`` rows, best key first, with
+        their log keys.
 
         A record's key depends only on the record (and its own uniform
         draw), never on which reservoir holds it, so keys rank records
         across *independent* structures: the union's A-ExpJ sample is
         exactly the global top-``k`` of the concatenated keyed samples.
-        The sharded service's merge layer relies on this.
+        The sharded service's merge layer relies on this, so the rows
+        are ranked even while the reservoir is still filling.  The
+        ranking reads only the keys; just the ``k`` returned rows are
+        gathered.
         """
-        records = self._disk_records(gf) + list(gf.buffer)
-        keys = np.concatenate(
-            [self._disk_aux(gf)[:, 0], gf.buffer.aux_view()[:, 0]])
-        top = self._top_k_indices(gf, keys)[::-1]
-        return [records[int(i)] for i in top], keys[top]
+        keys = self._keys(gf)
+        top = np.argsort(keys, kind="stable")[::-1][:min(k, gf.capacity)]
+        return RecordBatch(gf.schema, self._all_rows(gf)[top]), keys[top]
 
     # -- checkpoint --------------------------------------------------------
 
@@ -842,7 +848,7 @@ class WeightedReplacementLaw(_WeightedLaw):
 
     # -- reads (uniform victims => uniform pending apply) -------------------
 
-    def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
+    def materialize_batch(self, gf, gen) -> np.ndarray:
         return self._materialize_pending(gf, gen)
 
     def sample_size(self, gf) -> int:
@@ -982,16 +988,10 @@ class SlidingWindowLaw(_WeightedLaw):
             return live
         return live[np.argsort(keys[live], kind="stable")[live.shape[0] - s:]]
 
-    def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
-        dtype = gf.schema.dtype
-        parts = self._disk_parts(gf)
-        pending = gf.buffer.pending_view()
-        if len(pending):
-            parts = parts + [pending]
-        combined = (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
+    def materialize_batch(self, gf, gen) -> np.ndarray:
         aux = np.concatenate([self._disk_aux(gf), gf.buffer.aux_view()])
-        return combined[self._select_live(gf, aux[:, 0], aux[:, 1])]
+        return self._all_rows(gf)[self._select_live(gf, aux[:, 0],
+                                                    aux[:, 1])]
 
     # -- checkpoint --------------------------------------------------------
 

@@ -300,8 +300,11 @@ def encode_records(records) -> list[list]:
 def decode_records(items: Any, schema: RecordSchema | None = None):
     """Rebuild records from wire lists: a list of :class:`Record`, or
     with ``schema`` one :class:`RecordBatch` built column by column
-    (no record objects).  A payload wider than the schema's slot is a
-    ``ValueError``, as :meth:`RecordSchema.check_payloads` has it."""
+    (no record objects).  The columns take :func:`decode_record`'s
+    ``int`` / ``float`` conversions; a number out of its column's range
+    (a key beyond 64 bits, say), or a payload wider than the schema's
+    slot (as :meth:`RecordSchema.check_payloads` has it), is a
+    ``ValueError``."""
     if not isinstance(items, list):
         raise ValueError("wire records must be a list")
     if schema is None:
@@ -309,12 +312,19 @@ def decode_records(items: Any, schema: RecordSchema | None = None):
     for fields in items:
         if not isinstance(fields, (list, tuple)) or len(fields) != 4:
             raise ValueError(f"malformed wire record: {fields!r}")
-    array = np.zeros(len(items), dtype=schema.dtype)
+    n = len(items)
+    array = np.zeros(n, dtype=schema.dtype)
     if items:
         keys, values, stamps, payloads = zip(*items)
-        array["key"] = np.asarray(keys, dtype=np.int64)
-        array["value"] = np.asarray(values, dtype=np.float64)
-        array["timestamp"] = np.asarray(stamps, dtype=np.float64)
+        try:
+            array["key"] = np.fromiter(map(int, keys), np.int64, count=n)
+            array["value"] = np.fromiter(map(float, values), np.float64,
+                                         count=n)
+            array["timestamp"] = np.fromiter(map(float, stamps),
+                                             np.float64, count=n)
+        except OverflowError as exc:
+            raise ValueError(f"a wire record's number is out of range: "
+                             f"{exc}") from exc
         payloads = [base64.b64decode(payload) for payload in payloads]
         width = schema.record_size - MIN_RECORD_SIZE
         for key, payload in zip(keys, payloads):

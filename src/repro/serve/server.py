@@ -138,7 +138,8 @@ class ReservoirServer:
         self.config = config or ServerConfig()
         self._clock = clock
         # offer_batch rows decode straight into the layout of a
-        # record-keeping engine; a count-only one gets record lists.
+        # record-keeping engine (a biased file decodes that batch for
+        # its weighted path); a count-only one gets record lists.
         engine_config = getattr(engine, "config", None)
         self._schema = (RecordSchema(engine_config.record_size)
                         if getattr(engine_config, "retain_records", False)
@@ -270,7 +271,7 @@ class ReservoirServer:
             return {"records": encode_records(records)}
         if op == "sample_batch":
             batch = engine.sample_batch(self._arg_k(args))
-            return {"records": encode_records(batch),
+            return {"records": encode_records(batch.to_records()),
                     "record_size": batch.schema.record_size}
         if op == "snapshot":
             records, seen = engine.snapshot(self._arg_k(args))

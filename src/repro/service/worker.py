@@ -171,16 +171,15 @@ class ShardWorker:
         weighted sample.  No query RNG is consumed: the keyed sample
         is a deterministic function of reservoir state.
         """
-        records, keys = law.sample_keyed(self.managed.structure)
+        structure = self.managed.structure
+        rows, keys = law.sample_keyed(structure, k)
         stats = self.managed.stats()
-        size = len(records)
-        take = min(k, size)
         return {
             "seen": stats.seen,
-            "size": size,
+            "size": structure.sample_size,
             "seq": self.seq,
-            "records": records[:take],
-            "keys": [float(key) for key in keys[:take]],
+            "records": rows.to_records(),
+            "keys": [float(key) for key in keys],
         }
 
 

@@ -11,6 +11,7 @@ from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.estimate import horvitz_thompson_count, horvitz_thompson_sum
 from repro.sampling.weights import exponential_recency, uniform_weight
 from repro.storage.device import SimulatedBlockDevice
+from repro.storage.recordbatch import RecordBatch
 from repro.storage.records import Record
 
 
@@ -174,6 +175,31 @@ class TestTrueWeights:
         feed(bf, 10000)
         alive = {ledger.ident for ledger in bf.subsamples}
         assert set(bf.multipliers) == alive
+
+
+class TestOfferBatch:
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_record_batch_takes_the_weighted_path(self, multi):
+        """A ``RecordBatch`` runs Algorithm 4, exactly as ``offer_many``
+        of its records does (the inherited slab gate would draw the
+        uniform admission mask)."""
+        def weight(record):
+            return 1.0 + record.key % 7
+
+        make = TestBiasedMultiFile.make_biased_multi if multi else make_biased
+        direct, batched = make(weight_fn=weight, seed=3), make(
+            weight_fn=weight, seed=3)
+        records = [Record(key=i, value=1.0, timestamp=float(i))
+                   for i in range(3_000)]
+        admitted = sum(
+            batched.offer_batch(RecordBatch.from_records(
+                batched.schema, records[i:i + 256]))
+            for i in range(0, len(records), 256))
+        assert admitted == direct.offer_many(records)
+        assert batched.total_weight == direct.total_weight
+        assert batched.stats().as_dict() == direct.stats().as_dict()
+        assert batched.sample() == direct.sample()
+        batched.check_invariants()
 
 
 class TestBiasedMultiFile:

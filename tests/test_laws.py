@@ -53,6 +53,7 @@ from repro.sampling.weights import (
     value_proportional,
 )
 from repro.storage.device import MemoryBlockDevice, SimulatedBlockDevice
+from repro.storage.recordbatch import RecordBatch
 from repro.storage.records import Record
 from test_batch_ingest import P_MIN, chi_square_p
 
@@ -354,6 +355,29 @@ class TestAExpJ:
             batched_values.extend(r.value for r in b.sample())
         p = scipy_stats.ks_2samp(scalar_values, batched_values).pvalue
         assert p > P_MIN
+
+    @pytest.mark.parametrize("n", [50, 413])
+    def test_sample_keyed_gathers_the_best_rows_first(self, monkeypatch, n):
+        """The keyed read ranks on the aux keys, during start-up too,
+        and gathers only the rows it returns: any prefix is the best
+        of the whole sample, and no row is decoded."""
+        gf = law_file("aexpj", (("weight", "value"),), capacity=80)
+        gf.offer_many(valued_records(n))
+        assert gf.buffer.count > 0
+        full = gf.sample_batch()
+
+        def refuse(self):
+            raise AssertionError("a slab was decoded")
+
+        monkeypatch.setattr(RecordBatch, "__iter__", refuse)
+        monkeypatch.setattr(RecordBatch, "to_records", refuse)
+        rows, keys = gf._law.sample_keyed(gf, 7)
+        every_row, every_key = gf._law.sample_keyed(gf, gf.sample_size)
+        assert gf.sample_size == len(every_row) == len(full) == min(n, 80)
+        assert np.all(np.diff(every_key) <= 0)
+        np.testing.assert_array_equal(every_row.array[:7], rows.array)
+        np.testing.assert_array_equal(every_key[:7], keys)
+        assert sorted(every_row.keys) == sorted(full.keys)
 
 
 # -- weighted with-replacement equivalence ------------------------------------

@@ -41,9 +41,10 @@ from repro.serve.protocol import (
     success,
 )
 from repro.service import ShardedReservoir
-from repro.storage import Record
+from repro.storage import Record, RecordSchema
 
 from test_batch_ingest import P_MIN, chi_square_p
+from test_biased_file import make_biased
 
 
 def keyed_records(n, start=0, payload=False):
@@ -99,6 +100,25 @@ class TestFraming:
         record = Record(key=3, value=0.1 + 0.2, timestamp=1 / 3)
         assert decode_record(json.loads(
             json.dumps(encode_record(record)))) == record
+
+    def test_batch_decode_matches_record_decode(self):
+        """The column decode a record-keeping server uses takes the
+        record codec's conversions, and its failures are ValueErrors
+        or TypeErrors as the record codec's are."""
+        schema = RecordSchema(32)
+        # (Record 0's all-zero payload would read back stripped.)
+        wire = encode_records(keyed_records(30, payload=True)[1:])
+        wire.append(["7", "2.5", 1, ""])  # int()/float() convert these
+        batch = decode_records(wire, schema)
+        assert batch.to_records() == decode_records(wire)
+        with pytest.raises(ValueError, match="out of range"):
+            decode_records([[2 ** 70, 0.0, 0.0, ""]], schema)
+        with pytest.raises(ValueError, match="out of range"):
+            decode_records([[1, 10 ** 400, 0.0, ""]], schema)
+        with pytest.raises(TypeError):
+            decode_records([[1, None, 0.0, ""]], schema)
+        with pytest.raises(TypeError):
+            decode_record([1, None, 0.0, ""])
 
     def test_request_response_wire_round_trip(self):
         request = Request(op="sample", id=12, args={"k": 5})
@@ -339,6 +359,47 @@ class TestServedValidation:
         finally:
             client.close()
             engine.close()
+
+
+    def test_out_of_range_key_answers_bad_request(self, tmp_path):
+        """A key past 64 bits cannot enter a slab: the batch decode
+        turns the overflow into ``bad_request`` before the engine runs."""
+        engine = make_engine(tmp_path / "svc")
+        server = ReservoirServer(engine)
+        session = server.open_session()
+        try:
+            call(server, session, "offer_batch",
+                 {"records": encode_records(keyed_records(20))})
+            response = call(server, session, "offer_batch", {"records": [
+                encode_record(Record(key=1)), [2 ** 70, 0.0, 0.0, ""]]})
+            assert response.error.code == "bad_request"
+            assert "out of range" in response.error.message
+            assert engine.stats().seen == 20
+        finally:
+            engine.close()
+
+
+class TestServedBiasedFile:
+    def test_served_offer_batch_runs_algorithm_4(self):
+        """A served batch reaches a biased file's weighted admission:
+        the engine ends where a same-seed twin fed ``offer_many`` does
+        (the uniform slab gate would admit by ``N / i`` instead)."""
+        def weight(record):
+            return 1.0 + record.key % 7
+
+        direct = make_biased(weight_fn=weight, seed=5)
+        served = make_biased(weight_fn=weight, seed=5)
+        client = ServeClient.in_process(ReservoirServer(served))
+        try:
+            for start in range(0, 3_000, 250):
+                chunk = keyed_records(250, start=start)
+                assert client.offer_batch(chunk) == direct.offer_many(chunk)
+            assert served.total_weight == direct.total_weight
+            assert served.overflow_events == direct.overflow_events
+            assert served.stats().as_dict() == direct.stats().as_dict()
+            assert client.sample() == direct.sample()
+        finally:
+            client.close()
 
 
 # -- the twin-run guarantee --------------------------------------------------

@@ -6,11 +6,17 @@ objects only at the API edge.  These tests pin what that layout must
 keep:
 
 * **golden simulated disk** -- a slab-fed file that is read every few
-  batches ends at the exact flush count, clock, seeks and blocks the
-  record-list layout reached (constants recorded from it);
-* **RNG budget** -- ``sample_batch(k)`` draws one ``choice(N, k)`` from
-  the file's numpy generator and ``sample(k)`` draws nothing there, so
-  reads never move the simulated disk;
+  batches, and a file fed one record at a time through ``offer()``
+  and read with ``sample(k)``, ``sample_batch(k)`` and ``sample()``,
+  end at the exact flush count, clock, seeks and blocks the
+  record-list layout reached, the scalar one also at its admitted and
+  buffered counts (constants recorded from that layout);
+* **RNG budget** -- reads draw from both generators exactly what the
+  record-list reads drew: ``sample_batch(k)`` the pending rows' victims
+  as ``sample(range(D), P)`` from the ``random.Random`` and one
+  ``choice(N, k)`` from the numpy generator, ``sample(k)`` both draws
+  from the ``random.Random`` and nothing from numpy, so reads never
+  move the simulated disk, on the scalar ``offer()`` path either;
 * **oracle** -- the k-row gather returns exactly the rows
   materialise-then-thin returns from the same generator states;
 * **no decode** -- ingest, flushes, reads, checkpoints and an inline
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 from dataclasses import asdict
 
 import numpy as np
@@ -33,11 +40,12 @@ from repro.core.checkpoint import load_geometric_file, save_geometric_file
 from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.core.managed import ManagedSample
 from repro.core.multi import MultiFileConfig, MultipleGeometricFiles
+from repro.reservoir import draw_distinct
 from repro.service import ShardedReservoir
 from repro.storage.device import SimulatedBlockDevice
 from repro.storage.disk_model import DiskParameters
 from repro.storage.recordbatch import RecordBatch, pinned_bytes
-from repro.storage.records import RecordSchema
+from repro.storage.records import Record, RecordSchema
 
 
 def slab(schema: RecordSchema, first: int, n: int,
@@ -102,6 +110,54 @@ class TestGoldenFingerprint:
                            alpha_prime=0.8) == expected
 
 
+def _scalar_golden_run(seed: int, cls, config_cls, **extra) -> tuple:
+    config = config_cls(capacity=20_000, buffer_capacity=2_000,
+                        record_size=50, retain_records=True,
+                        admission="uniform", **extra)
+    params = DiskParameters()
+    device = SimulatedBlockDevice(
+        cls.required_blocks(config, params.block_size), params)
+    structure = cls(device, config, seed=seed)
+    for key in range(60_000):
+        # Scalar offers draw admission and Algorithm 2's join decision
+        # from the random.Random, which the drain and the reads share.
+        structure.offer(Record(key=key, value=float(key % 97),
+                               timestamp=float(key)))
+        if key % 6_000 == 5_999:
+            structure.sample(40)
+            structure.sample_batch(40)
+            if key % 24_000 == 23_999:
+                structure.sample()
+    stats = structure.stats()
+    return (stats.flushes, stats.clock, stats.io.seeks,
+            stats.io.blocks_written, stats.samples_added,
+            structure.buffer.count)
+
+
+class TestScalarGoldenFingerprint:
+    """The same, plus the admitted and buffered counts, for a file fed
+    through ``offer()``: there the ``random.Random`` decides the counts,
+    so the drain's shuffle and every default read must consume it as
+    the record-list layout did."""
+
+    @pytest.mark.parametrize("seed, expected", [
+        (5, (92, 4.241874999999958, 407, 214, 41943, 824)),
+        (23, (92, 4.209531249999959, 404, 212, 41979, 908)),
+    ])
+    def test_geometric_file(self, seed, expected):
+        assert _scalar_golden_run(seed, GeometricFile,
+                                  GeometricFileConfig) == expected
+
+    @pytest.mark.parametrize("seed, expected", [
+        (5, (92, 2.298437499999997, 220, 116, 41943, 824)),
+        (23, (92, 2.298437499999997, 220, 116, 41979, 908)),
+    ])
+    def test_multi_file(self, seed, expected):
+        assert _scalar_golden_run(seed, MultipleGeometricFiles,
+                                  MultiFileConfig,
+                                  alpha_prime=0.8) == expected
+
+
 # -- RNG budget ---------------------------------------------------------------
 
 
@@ -111,27 +167,48 @@ def _twin_generator(state: dict) -> np.random.Generator:
     return twin
 
 
+def _twin_random(state) -> random.Random:
+    twin = random.Random()
+    twin.setstate(state)
+    return twin
+
+
+def _draw_victims(twin: random.Random, gf) -> None:
+    """The record-list read's ``apply_pending`` draw, if it makes one."""
+    pending = gf.buffer.count
+    if pending and not gf.in_startup:
+        twin.sample(range(gf.sample_size), pending)
+
+
 class TestReadRngBudget:
     @pytest.mark.parametrize("n", [1_500, 5_150])
-    def test_sample_batch_draws_one_choice(self, n):
+    def test_sample_batch_draws_victims_and_one_choice(self, n):
         gf = make_geometric_file(capacity=2000, buffer_capacity=200,
                                  admission="always", seed=4)
         feed(gf, n)
         size = gf.sample_size
         twin = _twin_generator(gf._np_rng.bit_generator.state)
+        py_twin = _twin_random(gf._rng.getstate())
         gf.sample_batch(60)
         twin.choice(size, size=60, replace=False)
+        _draw_victims(py_twin, gf)
         assert gf._np_rng.bit_generator.state == twin.bit_generator.state
+        assert gf._rng.getstate() == py_twin.getstate()
 
     @pytest.mark.parametrize("n", [1_500, 5_150])
-    def test_sample_draws_nothing_from_numpy_generator(self, n):
+    def test_sample_draws_only_from_random(self, n):
         gf = make_geometric_file(capacity=2000, buffer_capacity=200,
                                  admission="always", seed=4)
         feed(gf, n)
         state = gf._np_rng.bit_generator.state
+        py_twin = _twin_random(gf._rng.getstate())
         assert len(gf.sample(60)) == 60
+        _draw_victims(py_twin, gf)
+        py_twin.sample(range(gf.sample_size), 60)
         assert len(gf.sample()) == gf.sample_size
+        _draw_victims(py_twin, gf)
         assert gf._np_rng.bit_generator.state == state
+        assert gf._rng.getstate() == py_twin.getstate()
 
 
 # -- oracle -------------------------------------------------------------------
@@ -164,7 +241,7 @@ def reach(structure, moment: str) -> None:
 def _materialise_then_thin(structure, k, victims_rng, positions_rng):
     """The reference read: build the whole sample, then thin it."""
     full = structure.law.materialize_batch(structure, victims_rng)
-    return full[positions_rng.choice(len(full), size=k, replace=False)]
+    return full[draw_distinct(positions_rng, len(full), k)]
 
 
 class TestGatherOracle:
@@ -190,10 +267,15 @@ class TestGatherOracle:
             got = structure.sample_batch(k)
             structure._rng.setstate(py_state)
             structure._np_rng.bit_generator.state = np_state
-            victims = np.random.default_rng(structure._rng.getrandbits(64))
-            want = _materialise_then_thin(structure, k, victims,
+            want = _materialise_then_thin(structure, k, structure._rng,
                                           structure._np_rng)
             assert np.array_equal(got.array, want)
+            py_state = structure._rng.getstate()
+            got = structure.sample(k)
+            structure._rng.setstate(py_state)
+            want = _materialise_then_thin(structure, k, structure._rng,
+                                          structure._rng)
+            assert [record.key for record in got] == list(want["key"])
 
     def test_oversized_read_rejected(self):
         gf = STRUCTURES["geo"]()

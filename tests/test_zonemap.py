@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_geometric_file
 from repro.core.zonemap import ZoneMapIndex
+from repro.storage.recordbatch import RecordBatch
 from repro.storage.records import Record
 
 
@@ -48,6 +49,45 @@ class TestCorrectness:
         # Every pending key in range must be visible.
         pending = {r.key for r in gf.buffer if 300 <= r.key <= 314}
         assert pending <= got
+
+    def test_record_query_decodes_only_the_matches(self, monkeypatch):
+        """The record iterator masks each scanned slab first: it yields
+        what ``query_batch`` returns, with the same stats, and turns
+        only the matching rows into records."""
+        gf = make_geometric_file(capacity=800, buffer_capacity=40,
+                                 admission="always")
+        feed(gf, 4010)  # ten records pending in the buffer
+        index = ZoneMapIndex(gf, field="timestamp")
+        want = index.query_batch(1000.0, 4005.0).to_records()
+        want_stats = index.stats()
+        decoded = []
+        to_records = RecordBatch.to_records
+
+        def counting(self):
+            decoded.append(len(self))
+            return to_records(self)
+
+        def refuse(self):
+            raise AssertionError("a slab was decoded row by row")
+
+        monkeypatch.setattr(RecordBatch, "to_records", counting)
+        monkeypatch.setattr(RecordBatch, "__iter__", refuse)
+        assert list(index.query(1000.0, 4005.0)) == want
+        assert index.stats() == want_stats
+        assert sum(decoded) == len(want)
+
+    def test_custom_extractor_decodes_slabs_in_bulk(self, monkeypatch):
+        gf = make_geometric_file(capacity=300, buffer_capacity=30)
+        feed(gf, 1000)
+
+        def refuse(self):
+            raise AssertionError("a slab was decoded row by row")
+
+        monkeypatch.setattr(RecordBatch, "__iter__", refuse)
+        index = ZoneMapIndex(gf, extractor=lambda r: float(r.key % 10))
+        got = list(index.query(3.0, 3.0))
+        assert got
+        assert all(r.key % 10 == 3 for r in got)
 
     def test_empty_range(self):
         gf = make_geometric_file(capacity=300, buffer_capacity=30)

@@ -41,6 +41,8 @@ MIN_RECORD_SIZE = _HEADER.size
 
 # weight (float64) prepended for weighted records
 _WEIGHT = struct.Struct("<d")
+#: The range of the header's signed 64-bit key field.
+_KEY_MIN, _KEY_MAX = -(1 << 63), (1 << 63) - 1
 
 
 @lru_cache(maxsize=None)
@@ -153,24 +155,32 @@ class RecordSchema:
         return _batch_dtype(self.record_size, self.weighted)
 
     def check_payloads(self, records) -> None:
-        """Raise ``ValueError`` for the first record whose payload is
-        wider than a slot's payload field (:meth:`encode` would
-        truncate it).
+        """Raise ``ValueError`` for the first record a slot cannot hold
+        as offered: a payload wider than the payload field
+        (:meth:`encode` would truncate it) or a key outside the 64-bit
+        key field (:meth:`encode` would fail).
 
         Structures that keep records as offered call this before any
         state changes, so a record never reads back one way in memory
-        and another after a restore or a trip through a slab.  Entries
-        without a payload (count-only ``None``) are skipped.
+        and another after a restore or a trip through a slab, and a bad
+        one leaves no half-counted offer behind.  Entries without a
+        payload (count-only ``None``) are skipped.
         """
         width = (self.record_size - MIN_RECORD_SIZE
                  - (_WEIGHT.size if self.weighted else 0))
         for record in records:
             payload = getattr(record, "payload", None)
-            if payload is not None and len(payload) > width:
+            if payload is None:
+                continue
+            if len(payload) > width:
                 raise ValueError(
                     f"record {record.key}: its {len(payload)}-byte payload "
                     f"does not fit the {width}-byte payload slot of "
                     f"{self.record_size}-byte records")
+            if not _KEY_MIN <= record.key <= _KEY_MAX:
+                raise ValueError(
+                    f"record {record.key}: its key does not fit the "
+                    "64-bit key field")
 
     def records_per_block(self, block_size: int) -> int:
         """How many whole records fit in one device block."""

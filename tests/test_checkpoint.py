@@ -387,8 +387,9 @@ class TestFormat:
         """A payload exactly the slot width comes back as
         ``RecordSchema.decode`` returns it (the disk, shm and slab
         contract), whether it arrived through ``offer`` or
-        ``offer_many``; one byte longer is rejected before any state
-        changes, so no record reads back differently after a restore."""
+        ``offer_many``; one byte longer, or a key past 64 bits, is
+        rejected before any state changes, so no record reads back
+        differently after a restore."""
         schema = RecordSchema(40)
         width = schema.record_size - MIN_RECORD_SIZE
         offered = {i: Record(key=i, value=float(i), timestamp=float(i),
@@ -407,6 +408,9 @@ class TestFormat:
                                match=f"record 150: its {width + 1}-byte "
                                      f"payload .* {width}-byte"):
                 verb(too_long)
+            for key in (1 << 63, -(1 << 63) - 1):
+                with pytest.raises(ValueError, match="64-bit key field"):
+                    verb(Record(key=key))
         assert saved_text(gf) == before
         restored = round_trip(gf)
         retained = [r for ledger in restored.subsamples

@@ -362,8 +362,9 @@ class TestServedValidation:
 
 
     def test_out_of_range_key_answers_bad_request(self, tmp_path):
-        """A key past 64 bits cannot enter a slab: the batch decode
-        turns the overflow into ``bad_request`` before the engine runs."""
+        """A key past 64 bits cannot enter a slab: the batch decode and
+        the engine's record guard answer ``bad_request`` before any
+        state changes."""
         engine = make_engine(tmp_path / "svc")
         server = ReservoirServer(engine)
         session = server.open_session()
@@ -374,6 +375,10 @@ class TestServedValidation:
                 encode_record(Record(key=1)), [2 ** 70, 0.0, 0.0, ""]]})
             assert response.error.code == "bad_request"
             assert "out of range" in response.error.message
+            response = call(server, session, "offer",
+                            {"record": [2 ** 70, 0.0, 0.0, ""]})
+            assert response.error.code == "bad_request"
+            assert "64-bit key field" in response.error.message
             assert engine.stats().seen == 20
         finally:
             engine.close()

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.buffer import SampleBuffer
 from ..pipeline import SCHEDULER_NAMES, FlushEngine, FlushPlan
 from ..reservoir import AdmissionMode, StreamReservoir
@@ -38,14 +40,11 @@ class DiskReservoirConfig:
         record_size: bytes per record.
         pool_blocks: LRU buffer-pool capacity in blocks (the paper's
             100 MB read/write cache).
-        retain_records: keep record payloads (tests / small runs).
+        retain_records: keep record payloads (tests / small runs), as
+            :class:`~repro.storage.recordbatch.RecordBatch` slabs: the
+            new-sample buffer is a structured-array slab and so is
+            every resident set.  I/O charges are identical either way.
         admission: see :class:`~repro.reservoir.StreamReservoir`.
-        columnar: run the columnar record engine -- the new-sample
-            buffer becomes a structured-array slab and retained state is
-            held as :class:`~repro.storage.recordbatch.RecordBatch`
-            slabs instead of record-object lists.  Implies
-            ``retain_records``.  I/O charges are identical to the
-            scalar path.
         pipeline: run steady-state flushes on a background writer
             thread; see
             :class:`~repro.core.geometric_file.GeometricFileConfig`.
@@ -61,14 +60,11 @@ class DiskReservoirConfig:
     pool_blocks: int = 64
     retain_records: bool = False
     admission: AdmissionMode = "always"
-    columnar: bool = False
     pipeline: bool = False
     io_scheduler: str = "fifo"
     stream_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.columnar and not self.retain_records:
-            object.__setattr__(self, "retain_records", True)
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
         if self.buffer_capacity < 1:
@@ -130,15 +126,31 @@ class SequentialAppender:
             self._partial = 0
 
 
+@dataclass
+class Cohort:
+    """Resident records written together, as a read sees them: the fill,
+    or one local-overwrite flush.  ``records`` is their slab (``None``
+    when count-only), in random order, ``live`` long."""
+
+    live: int
+    region_block: int = 0
+    records: RecordBatch | None = None
+
+
 class BufferedDiskReservoir(StreamReservoir):
     """Base for alternatives that buffer new samples then flush in bulk.
 
     Subclasses implement:
 
     * :meth:`_finish_fill` -- called once, when the reservoir has just
-      filled (record mode receives the full record list);
+      filled (with the fill's slab when record-keeping, else ``None``);
     * :meth:`_steady_flush` -- called per buffer flush with the drained
-      (shuffled) records, or ``None`` with a count in count-only mode.
+      (shuffled) slab, or ``None`` with a count in count-only mode.
+
+    Reads are the geometric file's (:meth:`StreamReservoir.sample_batch`):
+    while the reservoir fills they see the fill so far, afterwards the
+    subclass's resident :attr:`_cohorts` with each pending buffered row
+    displacing a uniform resident.
     """
 
     def __init__(self, device: BlockDevice, config: DiskReservoirConfig,
@@ -148,29 +160,31 @@ class BufferedDiskReservoir(StreamReservoir):
         self.device = device
         self.config = config
         self.schema = RecordSchema(config.record_size)
-        if config.retain_records:
+        retain = config.retain_records
+        if retain:
             self._payload_schema = self.schema
         self.buffer = SampleBuffer(config.buffer_capacity, self._rng,
-                                   retain_records=config.retain_records,
                                    np_rng=self._np_rng,
-                                   schema=(self.schema if config.columnar
-                                           else None))
+                                   schema=self.schema if retain else None)
         self._engine = FlushEngine.for_config(device, config)
         self._fill_appender = SequentialAppender(device, self.schema)
         self._filled = 0
-        self._fill_records: list[Record] | None = (
-            [] if config.retain_records else None
-        )
+        #: The fill's rows, written in place until the reservoir fills.
+        self._fill: RecordBatch | None = (
+            RecordBatch.empty(self.schema, config.capacity)
+            if retain else None)
+        #: The resident records once filled, for reads (set by
+        #: :meth:`_finish_fill`).
+        self._cohorts: list[Cohort] = []
         self.flushes = 0
         self.chunk_floor = config.buffer_capacity
 
     # -- hooks ---------------------------------------------------------------
 
-    def _finish_fill(
-            self, records: list[Record] | RecordBatch | None) -> None:
+    def _finish_fill(self, records: RecordBatch | None) -> None:
         raise NotImplementedError
 
-    def _steady_flush(self, records: list[Record] | RecordBatch | None,
+    def _steady_flush(self, records: RecordBatch | None,
                       count: int, plan: FlushPlan) -> None:
         """Record one steady-state flush's device ops into ``plan``.
 
@@ -180,9 +194,10 @@ class BufferedDiskReservoir(StreamReservoir):
         """
         raise NotImplementedError
 
-    def _flush_buffer(self, records: list[Record] | RecordBatch | None,
-                      count: int) -> None:
-        """Drive one drained buffer through plan build, submit, and emit."""
+    def _flush_buffer(self) -> None:
+        """Drain the buffer and drive it through plan build, submit,
+        and emit."""
+        records, count = self.buffer.drain()
         plan = FlushPlan()
         self._steady_flush(records, count, plan)
         self._submit_plan(plan, count)
@@ -198,105 +213,98 @@ class BufferedDiskReservoir(StreamReservoir):
         return getattr(self.device, "clock", 0.0)
 
     @property
-    def in_fill_phase(self) -> bool:
+    def in_startup(self) -> bool:
+        """True until the reservoir has filled."""
         return self._filled < self.capacity
 
-    @property
-    def columnar(self) -> bool:
-        """True when the columnar record engine is active."""
-        return self.config.columnar
+    def iter_ledgers(self):
+        """The resident records a read gathers from (law hook)."""
+        if self.in_startup:
+            fill = (None if self._fill is None
+                    else self._fill[:self._filled])
+            return iter((Cohort(self._filled, records=fill),))
+        return iter(self._cohorts)
 
     # -- StreamReservoir hooks ---------------------------------------------------
 
     def _admit(self, record: Record | None) -> None:
-        if self.in_fill_phase:
+        if self.in_startup:
             self._fill_one(record)
             return
         self.buffer.add_admitted(record, self.capacity)
         if self.buffer.is_full:
-            records, _, count = self.buffer.drain()
-            self._flush_buffer(records, count)
+            self._flush_buffer()
 
     def _admit_many(self, records: list[Record | None]) -> None:
+        # A record list reaches the slabs encoded once.
+        if not self.config.retain_records:
+            self._admit_anonymous(len(records))
+            return
+        if any(record is None for record in records):
+            raise ValueError("record-retaining mode needs the record")
+        self._admit_batch(RecordBatch.from_records(self.schema, records))
+
+    def _admit_batch(self, batch: RecordBatch) -> None:
         # Batch form of _admit: the fill-phase prefix goes out as one
         # sequential append, the rest through the buffer's vectorised
         # absorb, flushing at the same boundaries as the scalar loop.
-        i = self._fill_from_batch(records)
-        n = len(records)
-        while i < n:
-            i += self.buffer.absorb_many(records, self.capacity, start=i)
-            if self.buffer.is_full:
-                drained, _, count = self.buffer.drain()
-                self._flush_buffer(drained, count)
-
-    def _admit_batch(self, batch: RecordBatch) -> None:
-        # Columnar twin of _admit_many: the fill-phase prefix is decoded
-        # once (the fill happens exactly once per reservoir), the steady
-        # suffix goes through the buffer's slab absorb.
-        if not self.columnar:
-            super()._admit_batch(batch)
+        if not self.config.retain_records:
+            self._admit_anonymous(len(batch))
             return
-        i = 0
         n = len(batch)
-        if self.in_fill_phase:
-            take = min(n, self.capacity - self._filled)
-            i = self._fill_from_batch(list(batch[:take]))
+        i = self._fill_rows(n, batch.array)
         while i < n:
             i += self.buffer.absorb_batch(batch, self.capacity, start=i)
             if self.buffer.is_full:
-                drained, _, count = self.buffer.drain()
-                self._flush_buffer(drained, count)
+                self._flush_buffer()
+
+    def _admit_anonymous(self, n: int) -> None:
+        """Count-only :meth:`_admit_batch`: the same draws, no rows."""
+        i = self._fill_rows(n)
+        while i < n:
+            i += self.buffer.absorb_count(n - i, self.capacity)
+            if self.buffer.is_full:
+                self._flush_buffer()
 
     def _admit_count(self, n: int) -> None:
-        if self.in_fill_phase:
-            take = min(n, self.capacity - self._filled)
-            self._fill_appender.append(take)
-            self._filled += take
-            n -= take
-            if not self.in_fill_phase:
-                self._complete_fill()
+        n -= self._fill_rows(n)
         while n > 0:
             take = min(n, self.buffer.capacity - self.buffer.count)
             self.buffer.append_count(take)
             n -= take
             if self.buffer.is_full:
-                _, __, count = self.buffer.drain()
-                self._flush_buffer(None, count)
+                self._flush_buffer()
 
     # -- fill phase ----------------------------------------------------------------
 
     def _fill_one(self, record: Record | None) -> None:
         self._fill_appender.append(1)
-        self._filled += 1
-        if self._fill_records is not None:
+        if self._fill is not None:
             if record is None:
                 raise ValueError("record-retaining mode needs the record")
-            self._fill_records.append(record)
-        if not self.in_fill_phase:
+            self._fill[self._filled] = record
+        self._filled += 1
+        if not self.in_startup:
             self._complete_fill()
 
-    def _fill_from_batch(self, records: list[Record | None]) -> int:
-        """Consume a batch's fill-phase prefix; returns records taken."""
-        if not self.in_fill_phase:
+    def _fill_rows(self, n: int, rows: np.ndarray | None = None) -> int:
+        """Consume the fill-phase prefix of ``n`` admitted records
+        (``rows`` holds their slab rows when record-keeping); returns
+        how many it took."""
+        if not self.in_startup:
             return 0
-        take = min(len(records), self.capacity - self._filled)
+        if self._fill is not None and rows is None:
+            raise TypeError("reservoir retains records; use offer()")
+        take = min(n, self.capacity - self._filled)
         self._fill_appender.append(take)
+        if self._fill is not None:
+            self._fill.array[self._filled:self._filled + take] = rows[:take]
         self._filled += take
-        if self._fill_records is not None:
-            chunk = records[:take]
-            if any(r is None for r in chunk):
-                raise ValueError("record-retaining mode needs the record")
-            self._fill_records.extend(chunk)
-        if not self.in_fill_phase:
+        if not self.in_startup:
             self._complete_fill()
         return take
 
     def _complete_fill(self) -> None:
         self._fill_appender.finish()
-        records = self._fill_records
-        self._fill_records = None
-        if records is not None and self.columnar:
-            # The fill list physicalises as one slab; from here on the
-            # steady state works purely on structured rows.
-            records = RecordBatch.from_records(self.schema, records)
-        self._finish_fill(records)
+        fill, self._fill = self._fill, None
+        self._finish_fill(fill)

@@ -37,23 +37,11 @@ re-randomization -- follows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..pipeline import FlushPlan
+from ..reservoir import draw_victim_counts
 from ..storage.device import BlockDevice
 from ..storage.recordbatch import RecordBatch
-from ..storage.records import Record
-from ..reservoir import draw_victim_counts
-from .base import BufferedDiskReservoir, DiskReservoirConfig
-
-
-@dataclass
-class _Cohort:
-    """One insertion-time cluster of records."""
-
-    live: int
-    region_block: int
-    records: "list[Record] | RecordBatch | None" = None
+from .base import BufferedDiskReservoir, Cohort, DiskReservoirConfig
 
 
 class LocalOverwriteReservoir(BufferedDiskReservoir):
@@ -64,7 +52,6 @@ class LocalOverwriteReservoir(BufferedDiskReservoir):
     def __init__(self, device: BlockDevice, config: DiskReservoirConfig,
                  *, seed: int | None = 0) -> None:
         super().__init__(device, config, seed=seed)
-        self._cohorts: list[_Cohort] = []
         self._file_blocks = self.schema.blocks_for_records(
             config.capacity, device.block_size
         )
@@ -94,21 +81,18 @@ class LocalOverwriteReservoir(BufferedDiskReservoir):
             "max_cohorts_touched": self.max_cohorts_touched,
         }
 
-    def _finish_fill(
-            self, records: list[Record] | RecordBatch | None) -> None:
-        if isinstance(records, RecordBatch):
-            # Shuffle an index list through the same random.Random the
-            # object path shuffles its list with (identical RNG
-            # consumption), then realise the permutation as one take.
+    def _finish_fill(self, records: RecordBatch | None) -> None:
+        if records is not None:
+            # The fill is clustered randomly: shuffle an index list
+            # through the random.Random (the draws of shuffling the
+            # records themselves), then realise it as one take.
             order = list(range(len(records)))
             self._rng.shuffle(order)
             records = records.take(order)
-        elif records is not None:
-            self._rng.shuffle(records)  # the fill is clustered randomly
-        self._cohorts = [_Cohort(live=self.capacity, region_block=0,
-                                 records=records)]
+        self._cohorts = [Cohort(live=self.capacity, region_block=0,
+                                records=records)]
 
-    def _steady_flush(self, records: list[Record] | None,
+    def _steady_flush(self, records: RecordBatch | None,
                       count: int, plan: FlushPlan) -> None:
         """Evict a uniform B-subset cohort-by-cohort; write one piece each.
 
@@ -140,27 +124,11 @@ class LocalOverwriteReservoir(BufferedDiskReservoir):
         self._cohorts = [c for c in self._cohorts if c.live > 0]
         # Everything this flush wrote is one cohort, whatever fragments
         # it physically landed in.
-        self._cohorts.append(_Cohort(live=count, region_block=first_region,
-                                     records=records))
+        self._cohorts.append(Cohort(live=count, region_block=first_region,
+                                    records=records))
         if touched > self.max_cohorts_touched:
             self.max_cohorts_touched = touched
 
     def _hypergeometric_split(self, count: int) -> list[int]:
         lives = [cohort.live for cohort in self._cohorts]
         return draw_victim_counts(self._np_rng, lives, count)
-
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """Current reservoir contents plus pending buffered admissions;
-        ``k`` optionally thins to a uniform subset (protocol form)."""
-        self.flush_barrier()
-        if self.config.retain_records is False:
-            raise TypeError("reservoir is running in count-only mode")
-        if self.in_fill_phase:
-            full = list(self._fill_records or []) + list(self.buffer)
-            return self._thin_records(full, k, rng)
-        disk: list[Record] = []
-        for cohort in self._cohorts:
-            disk.extend(cohort.records or ())
-        full = self.apply_pending(disk, list(self.buffer),
-                                  rng if rng is not None else self._rng)
-        return self._thin_records(full, k, rng)

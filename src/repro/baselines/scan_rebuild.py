@@ -23,8 +23,7 @@ import numpy as np
 from ..pipeline import FlushPlan
 from ..storage.device import BlockDevice
 from ..storage.recordbatch import RecordBatch
-from ..storage.records import Record
-from .base import BufferedDiskReservoir, DiskReservoirConfig
+from .base import BufferedDiskReservoir, Cohort, DiskReservoirConfig
 
 
 class ScanReservoir(BufferedDiskReservoir):
@@ -35,7 +34,7 @@ class ScanReservoir(BufferedDiskReservoir):
     def __init__(self, device: BlockDevice, config: DiskReservoirConfig,
                  *, seed: int | None = 0) -> None:
         super().__init__(device, config, seed=seed)
-        self._records: list[Record] | RecordBatch | None = None
+        self._records: RecordBatch | None = None
         self._file_blocks = self.schema.blocks_for_records(
             config.capacity, device.block_size
         )
@@ -53,13 +52,14 @@ class ScanReservoir(BufferedDiskReservoir):
         schema = RecordSchema(config.record_size)
         return schema.blocks_for_records(config.capacity, block_size)
 
-    def _finish_fill(self, records: list[Record] | None) -> None:
+    def _finish_fill(self, records: RecordBatch | None) -> None:
         self._records = records
+        self._cohorts = [Cohort(self.capacity, records=records)]
 
     def _stats_extra(self) -> dict:
         return {"file_blocks": self._file_blocks}
 
-    def _steady_flush(self, records: list[Record] | None,
+    def _steady_flush(self, records: RecordBatch | None,
                       count: int, plan: FlushPlan) -> None:
         """Read the whole file, splice in the new samples, write it back.
 
@@ -71,33 +71,13 @@ class ScanReservoir(BufferedDiskReservoir):
         run the rewrite pass before the scan pass.
         """
         self._charge_full_scan(plan)
-        if self._records is not None and records is not None:
-            # Same without-replacement draw in both engines, so the
-            # modes stay bit-exact on a shared seed.
+        if records is not None:
+            # Victims are distinct, so one fancy-index scatter splices
+            # the whole flush without record objects.
             victims = self._rng.sample(range(self.capacity), count)
-            if isinstance(records, RecordBatch):
-                # Victims are distinct, so one fancy-index scatter
-                # splices the whole flush without record objects.
-                self._records.array[
-                    np.asarray(victims, dtype=np.intp)
-                ] = records.array
-            else:
-                for slot, record in zip(victims, records):
-                    self._records[slot] = record
+            self._records.array[np.asarray(victims, dtype=np.intp)] = (
+                records.array)
 
     def _charge_full_scan(self, plan: FlushPlan) -> None:
         plan.read(0, self._file_blocks)
         plan.write(0, self._file_blocks)
-
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """Current reservoir contents plus pending buffered admissions;
-        ``k`` optionally thins to a uniform subset (protocol form)."""
-        self.flush_barrier()
-        if self._records is None and self._fill_records is None:
-            raise TypeError("reservoir is running in count-only mode")
-        if self._records is None:
-            full = list(self._fill_records or []) + list(self.buffer)
-            return self._thin_records(full, k, rng)
-        full = self.apply_pending(self._records, list(self.buffer),
-                                  rng if rng is not None else self._rng)
-        return self._thin_records(full, k, rng)

@@ -19,11 +19,13 @@ second" with a terabyte reservoir.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..storage.buffer_pool import LRUBufferPool
 from ..storage.device import BlockDevice
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record
-from .base import BufferedDiskReservoir, DiskReservoirConfig
+from .base import BufferedDiskReservoir, Cohort, DiskReservoirConfig
 
 
 class VirtualMemoryReservoir(BufferedDiskReservoir):
@@ -45,7 +47,7 @@ class VirtualMemoryReservoir(BufferedDiskReservoir):
         # Steady state pays per record, not per flush: let the runner
         # shrink chunks to track the horizon precisely.
         self.chunk_floor = 1
-        self._records: list[Record] | RecordBatch | None = None
+        self._records: RecordBatch | None = None
         self._n_blocks_used = self.schema.blocks_for_records(
             config.capacity, device.block_size
         )
@@ -66,8 +68,9 @@ class VirtualMemoryReservoir(BufferedDiskReservoir):
 
     # -- fill ------------------------------------------------------------------
 
-    def _finish_fill(self, records: list[Record] | None) -> None:
+    def _finish_fill(self, records: RecordBatch | None) -> None:
         self._records = records
+        self._cohorts = [Cohort(self.capacity, records=records)]
 
     # -- observability -------------------------------------------------------
 
@@ -84,69 +87,43 @@ class VirtualMemoryReservoir(BufferedDiskReservoir):
     # -- steady state -------------------------------------------------------------
 
     def _admit(self, record: Record | None) -> None:
-        if self.in_fill_phase:
+        if self.in_startup:
             self._fill_one(record)
             return
         self._overwrite_random_slot(record)
 
     def _admit_count(self, n: int) -> None:
-        if self.in_fill_phase:
-            take = min(n, self.capacity - self._filled)
-            self._fill_appender.append(take)
-            self._filled += take
-            n -= take
-            if not self.in_fill_phase:
-                self._complete_fill()
+        n -= self._fill_rows(n)
         for _ in range(n):
             self._overwrite_random_slot(None)
 
-    def _admit_many(self, records: list[Record | None]) -> None:
-        # One vectorised slot draw for the whole steady-state suffix;
-        # each slot still walks the LRU pool (the pool is the point of
-        # this baseline), but the randrange-per-record overhead is gone.
-        i = self._fill_from_batch(records)
-        n = len(records)
-        if i >= n:
-            return
-        slots = self._np_rng.integers(0, self.capacity, size=n - i)
-        records_per_block = self.schema.records_per_block(
-            self.device.block_size
-        )
-        for j, slot in enumerate(slots.tolist()):
-            block = slot // records_per_block
-            self.pool.get(block)
-            self.pool.mark_dirty(block)
-            if self._records is not None:
-                record = records[i + j]
-                if record is not None:
-                    self._records[slot] = record
-
     def _admit_batch(self, batch: RecordBatch) -> None:
-        # Columnar steady state: one vectorised slot draw (same
-        # np_rng stream as _admit_many), one batched LRU walk, and an
-        # in-order row scatter that matches the scalar loop bit for bit
-        # even when a slot repeats (last write wins).
-        if not self.columnar:
-            super()._admit_batch(batch)
+        if not self.config.retain_records:
+            self._admit_anonymous(len(batch))
             return
-        i = 0
-        n = len(batch)
-        if self.in_fill_phase:
-            take = min(n, self.capacity - self._filled)
-            i = self._fill_from_batch(list(batch[:take]))
-        if i >= n:
+        i = self._fill_rows(len(batch), batch.array)
+        self._overwrite_slots(len(batch) - i, batch.array[i:])
+
+    def _admit_anonymous(self, n: int) -> None:
+        self._overwrite_slots(n - self._fill_rows(n), None)
+
+    def _overwrite_slots(self, n: int, rows: np.ndarray | None) -> None:
+        # One vectorised slot draw for the whole steady-state suffix and
+        # one batched LRU walk (the pool is the point of this baseline),
+        # then an in-order row scatter that matches the scalar loop bit
+        # for bit even when a slot repeats (last write wins).
+        if n <= 0:
             return
-        slots = self._np_rng.integers(0, self.capacity, size=n - i)
+        slots = self._np_rng.integers(0, self.capacity, size=n)
         records_per_block = self.schema.records_per_block(
             self.device.block_size
         )
         self.pool.get_many((slots // records_per_block).tolist(),
                            dirty=True)
-        if self._records is not None:
+        if rows is not None:
             dst = self._records.array
-            src = batch.array
             for j, slot in enumerate(slots.tolist()):
-                dst[slot] = src[i + j]
+                dst[slot] = rows[j]
 
     def _overwrite_random_slot(self, record: Record | None) -> None:
         slot = self._rng.randrange(self.capacity)
@@ -161,15 +138,3 @@ class VirtualMemoryReservoir(BufferedDiskReservoir):
 
     def _steady_flush(self, records, count, plan) -> None:  # pragma: no cover
         raise AssertionError("virtual-memory option never batch-flushes")
-
-    # -- inspection -----------------------------------------------------------------
-
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """Current reservoir contents (record-retaining mode only);
-        ``k`` optionally thins to a uniform subset (protocol form)."""
-        self.flush_barrier()
-        if self._records is None:
-            if self._fill_records is not None:
-                return self._thin_records(list(self._fill_records), k, rng)
-            raise TypeError("reservoir is running in count-only mode")
-        return self._thin_records(list(self._records), k, rng)

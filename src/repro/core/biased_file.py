@@ -3,14 +3,12 @@
 The disk mechanics of the geometric file are untouched by biased
 sampling: Algorithm 4 evicts *uniformly* -- bias enters only through
 the admission probability ``|R| * f(r) / totalWeight`` -- so the flush,
-segment, and stack machinery is inherited verbatim from the unbiased
-structures.  What Section 7.3 adds is the weight bookkeeping:
+segment, stack and read machinery is inherited verbatim from the
+unbiased structures.  What Section 7.3 adds is the weight bookkeeping:
 
-* every record's *effective weight* ``r.weight`` is stored with it
-  (here: a weights list parallel to each ledger's record list; on a
-  byte-backed deployment the weighted
-  :class:`~repro.storage.records.RecordSchema` stores it in the
-  record slot);
+* every record's *effective weight* ``r.weight`` is stored with it:
+  here aux column 0 of the buffer's and every ledger's slab, which the
+  drain permutes and evictions truncate in step with the rows;
 * every subsample carries an in-memory *weight multiplier* ``M_j``;
   the true weight of a record is ``M_j * r.weight`` (Definition 2);
 * during start-up all records get effective weight 1, and when the
@@ -19,7 +17,10 @@ structures.  What Section 7.3 adds is the weight bookkeeping:
 * when a record arrives whose admission probability would exceed one,
   every existing multiplier and every buffered weight is scaled up so
   that it is exactly one, and ``totalWeight`` is reset to
-  ``|R| * f(r)`` (Section 7.3.2's three steps, implemented literally).
+  ``|R| * f(r)`` (Section 7.3.2's three steps).  The buffered weights
+  are scaled in O(1) through an epoch factor: the buffer stores each
+  weight divided by the factor of its moment, and the flush multiplies
+  the drained column by the factor when the buffer becomes a subsample.
 
 Lemma 3's guarantee -- ``Pr[r in R] = |R| * M(r) * r.weight /
 totalWeight`` -- is what :meth:`BiasedSamplingMixin.items` exposes to
@@ -37,14 +38,22 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ..reservoir import StreamReservoir
-from ..sampling.weights import WeightFunction, uniform_weight
+from ..sampling.weights import (
+    WeightFunction,
+    check_weight,
+    check_weights,
+    uniform_weight,
+)
 from ..storage.device import BlockDevice
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record
 from .geometric_file import GeometricFile, GeometricFileConfig
 from .multi import MultiFileConfig, MultipleGeometricFiles
 from .subsample import SubsampleLedger
+
+#: Fold the buffer's epoch factor into its stored weights past this
+#: magnitude, long before float64 precision becomes a concern.
+_RENORMALIZE_ABOVE = 1e100
 
 
 class BiasedSamplingMixin:
@@ -54,13 +63,10 @@ class BiasedSamplingMixin:
     startup/flush machinery of the unbiased structures
     (``buffer``, ``in_startup``, ``_startup_sizes``, ``_startup_flush``,
     ``_flush``, ``_new_ledger``) and a :meth:`_biased_ledgers` iterator.
-
-    Weights ride lists parallel to each ledger's records, so a biased
-    host keeps record lists (not slabs) in its buffer and ledgers, and
-    reads materialise them.
     """
 
-    _slab_ledgers = False
+    #: The effective weight rides aux column 0 of every slab.
+    _structure_aux = 1
 
     # -- host hook ----------------------------------------------------------
 
@@ -77,6 +83,10 @@ class BiasedSamplingMixin:
         #: Per-subsample weight multipliers, ident -> M_j.
         self.multipliers: dict[int, float] = {}
         self.overflow_events = 0
+        #: Section 7.3.2's overflow factor since the last flush: a
+        #: buffered record's effective weight is its stored weight
+        #: times this epoch.
+        self.weight_epoch = 1.0
 
     # -- stream interface -------------------------------------------------------
 
@@ -84,38 +94,7 @@ class BiasedSamplingMixin:
         """Present one stream record (Algorithm 4 admission)."""
         self._check_engine()
         self._check_payloads((record,))
-        weight = self.weight_fn(record)
-        if weight <= 0:
-            raise ValueError(
-                f"weight function returned {weight!r}; must be positive"
-            )
-        self._seen += 1
-
-        if self.in_startup:
-            # Start-up: everything is admitted with effective weight 1;
-            # multipliers are fixed up when the reservoir completes.
-            self.total_weight += weight
-            self._samples_added += 1
-            self.buffer.append(record, weight=1.0)
-            if self.buffer.count >= self._startup_sizes[self._startup_index]:
-                was_last = (self._startup_index
-                            == len(self._startup_sizes) - 1)
-                self._startup_flush()
-                if was_last:
-                    self._finish_startup_weights()
-            return
-
-        self.total_weight += weight
-        admit_probability = (self.capacity * weight) / self.total_weight
-        if admit_probability > 1.0:
-            self._scale_all_weights(admit_probability, weight)
-            admit_probability = 1.0
-        if self._rng.random() >= admit_probability:
-            return
-        self._samples_added += 1
-        self.buffer.add_admitted(record, self.capacity, weight=weight)
-        if self.buffer.is_full:
-            self._flush()
+        self._offer_weighted(record, check_weight(self.weight_fn(record)))
 
     def offer_many(self, records) -> int:
         """Present a batch of records through the weighted path.
@@ -124,14 +103,19 @@ class BiasedSamplingMixin:
         which every record updates, so the decisions are inherently
         sequential -- this exists for interface parity with the uniform
         structures (the inherited vectorised gate would apply the wrong
-        admission law), not as a fast path.
+        admission law), not as a fast path.  Every record is weighed and
+        checked before the first one is counted, so a bad weight leaves
+        no half-counted batch behind.
         """
+        self._check_engine()
         records = list(records)
         self._check_payloads(records)
+        fn = self.weight_fn
+        weights = check_weights([fn(record) for record in records])
         before = self._samples_added
-        offer = self.offer
-        for record in records:
-            offer(record)
+        offer = self._offer_weighted
+        for record, weight in zip(records, weights.tolist()):
+            offer(record, weight)
         return self._samples_added - before
 
     def offer_batch(self, batch) -> int:
@@ -140,7 +124,8 @@ class BiasedSamplingMixin:
 
         The inherited slab gate would draw the uniform admission mask,
         the wrong law for Algorithm 4, so a ``RecordBatch`` is decoded
-        once and offered like a record list.
+        once (the weight function reads records) and offered like a
+        record list.
         """
         if isinstance(batch, RecordBatch):
             batch = batch.to_records()
@@ -152,26 +137,34 @@ class BiasedSamplingMixin:
             "biased sampling needs each record's weight; use offer()"
         )
 
-    # -- reads ------------------------------------------------------------------
-
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """The resident records, each pending one displacing a uniform
-        disk record (Algorithm 4 evicts uniformly); optionally thinned
-        to a uniform ``k``-subset.  ``rng`` is a ``random.Random``."""
-        self.flush_barrier()
-        gen = rng if rng is not None else self._rng
-        disk = [record for ledger in self._biased_ledgers()
-                for record in ledger.records or ()]
-        pending = list(self.buffer)
+    def _offer_weighted(self, record: Record, weight: float) -> None:
+        """Algorithm 4 for one record whose weight is already checked."""
+        self._seen += 1
+        self.total_weight += weight
         if self.in_startup:
-            full = disk + pending
-        else:
-            full = StreamReservoir.apply_pending(disk, pending, gen)
-        return self._thin_records(full, k, rng)
+            # Start-up: everything is admitted with effective weight 1;
+            # multipliers are fixed up when the reservoir completes.
+            self._samples_added += 1
+            self.buffer.append(record, aux=(1.0,))
+            if self.buffer.count >= self._startup_sizes[self._startup_index]:
+                was_last = (self._startup_index
+                            == len(self._startup_sizes) - 1)
+                self._startup_flush()
+                if was_last:
+                    self._finish_startup_weights()
+            return
 
-    def sample_batch(self, k: int | None = None, *, rng=None):
-        """:meth:`sample` encoded as one ``RecordBatch``."""
-        return StreamReservoir.sample_batch(self, k, rng=rng)
+        admit_probability = (self.capacity * weight) / self.total_weight
+        if admit_probability > 1.0:
+            self._scale_all_weights(admit_probability, weight)
+            admit_probability = 1.0
+        if self._rng.random() >= admit_probability:
+            return
+        self._samples_added += 1
+        self.buffer.add_admitted(record, self.capacity,
+                                 aux=(weight / self.weight_epoch,))
+        if self.buffer.is_full:
+            self._flush()
 
     # -- weighted views -----------------------------------------------------------
 
@@ -184,9 +177,8 @@ class BiasedSamplingMixin:
         """
         for ledger in self._biased_ledgers():
             multiplier = self.multipliers.get(ledger.ident, 1.0)
-            records = ledger.records or []
-            weights = ledger.weights or []
-            for record, weight in zip(records, weights):
+            weights = ledger.aux[:, 0].tolist()
+            for record, weight in zip(ledger.records.to_records(), weights):
                 yield record, multiplier * weight
 
     def true_weight_total(self) -> float:
@@ -202,21 +194,20 @@ class BiasedSamplingMixin:
     def check_invariants(self) -> None:
         super().check_invariants()
         for ledger in self._biased_ledgers():
-            if ledger.weights is None or ledger.records is None:
-                raise AssertionError("biased ledger lost its weights")
-            if len(ledger.weights) != len(ledger.records):
+            if ledger.aux is None:
                 raise AssertionError(
-                    f"subsample {ledger.ident}: {len(ledger.weights)} "
-                    f"weights for {len(ledger.records)} records"
-                )
+                    f"subsample {ledger.ident} lost its weight column")
 
     # -- internals ------------------------------------------------------------------
 
     def _scale_all_weights(self, factor: float, new_weight: float) -> None:
-        """Section 7.3.2's three steps, verbatim."""
+        """Section 7.3.2's three steps."""
         for ident in self.multipliers:
             self.multipliers[ident] *= factor          # step (1)
-        self.buffer.scale_weights(factor)              # step (2)
+        self.weight_epoch *= factor                    # step (2), O(1)
+        if self.weight_epoch > _RENORMALIZE_ABOVE:
+            self.buffer.aux_view()[:, 0] *= self.weight_epoch
+            self.weight_epoch = 1.0
         self.total_weight = self.capacity * new_weight  # step (3)
         self.overflow_events += 1
         self._emit("overflow", what="weight", factor=factor)
@@ -237,8 +228,12 @@ class BiasedSamplingMixin:
         extra["total_weight"] = self.total_weight
         return extra
 
-    def _new_ledger(self, sizes, first_level, tail, records):
-        ledger = super()._new_ledger(sizes, first_level, tail, records)
+    def _new_ledger(self, sizes, first_level, tail, records, aux):
+        # The drained buffer becomes a subsample: its stored weights
+        # times the epoch are the effective weights it keeps on disk.
+        aux[:, 0] *= self.weight_epoch
+        self.weight_epoch = 1.0
+        ledger = super()._new_ledger(sizes, first_level, tail, records, aux)
         # "When the buffer fills and the jth subsample is ... written to
         # disk, M_j is set to 1."  (Start-up multipliers are rewritten
         # by _finish_startup_weights once the reservoir completes.)
@@ -246,8 +241,6 @@ class BiasedSamplingMixin:
         return ledger
 
     def _flush(self) -> None:
-        # The host drains the buffer (which co-shuffles weights with
-        # records) and attaches both to the new ledger.
         super()._flush()
         self._drop_dead_multipliers()
 
@@ -279,9 +272,9 @@ class BiasedGeometricFile(BiasedSamplingMixin, GeometricFile):
         device: backing store (sized via
             :meth:`~repro.core.geometric_file.GeometricFile.required_blocks`).
         config: sizing; must have ``retain_records=True``.
-        weight_fn: the user utility function ``f``; must be strictly
-            positive.  With the default uniform weight the structure
-            behaves exactly like its parent (tested).
+        weight_fn: the user utility function ``f``; must return finite,
+            strictly positive weights.  With the default uniform weight
+            the structure behaves exactly like its parent (tested).
         seed: RNG seed.
     """
 

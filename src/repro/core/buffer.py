@@ -9,40 +9,29 @@ memory and the buffer count stays put; otherwise the new record joins
 the buffer and one disk-resident record is doomed (which one is decided
 collectively at flush time by Algorithm 3's randomized partitioning).
 
-The buffer also supports the weighted variant: each slot can carry an
-effective weight, and Section 7.3.2's overflow events scale every
-buffered weight -- implemented with an epoch factor instead of an O(B)
-sweep, exactly as in
-:class:`~repro.sampling.biased_reservoir.BiasedReservoir`.
+Storage comes in two modes:
 
-Storage comes in three modes:
-
-* *object* (``retain_records=True``): a Python list of
-  :class:`~repro.storage.records.Record`;
-* *count-only* (``retain_records=False``): no storage at all;
-* *columnar* (``schema=...``): a preallocated structured-array slab of
+* *slab* (``schema=...``): a preallocated structured-array slab of
   ``capacity`` rows (:attr:`RecordSchema.dtype`).  Joins are row (or
   slice) writes into the slab, :meth:`drain` hands back one
   :class:`~repro.storage.recordbatch.RecordBatch`, and the batch entry
   points (:meth:`extend_batch` / :meth:`absorb_batch`) absorb whole
-  column slices without materialising a single record object.  The
-  admission law is shared with the object mode -- the same decision
-  kernel runs against either storage -- so the two are
-  distributionally identical (tested).  Columnar buffers are
-  uniform-only; weighted sampling stays on the object path.
+  column slices without materialising a single record object.  A
+  per-record float the structure keeps (a sampling law's key, the
+  biased file's effective weight) rides an aux column beside the row;
+* *count-only* (no schema): no storage at all, only the count and the
+  admission draws -- the paper-scale benchmark mode.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record, RecordSchema
-
-_RENORMALIZE_ABOVE = 1e100
 
 
 class SampleBuffer:
@@ -51,37 +40,30 @@ class SampleBuffer:
     Args:
         capacity: maximum records held (``|B|`` in the paper).
         rng: randomness for the in-buffer replacement draw.
-        retain_records: keep the actual record objects.  Count-only
-            mode (``False``) powers the large benchmark runs, where
-            per-record Python objects would dominate the cost of the
-            experiment without affecting any I/O behaviour.
         np_rng: numpy generator for the batched coin flips of
-            :meth:`absorb_many`; derived deterministically from ``rng``
+            :meth:`absorb_batch`; derived deterministically from ``rng``
             when not supplied.
-        schema: switch to columnar slab storage over this record
-            schema (implies record retention; uniform-only).
-        aux_width: float64 auxiliary columns carried per record for
-            non-uniform sampling laws (keys, stream positions).  Aux
-            rows ride :meth:`append` / :meth:`replace` in lock-step
-            with the records and come back permuted identically by
-            :meth:`drain` (via :meth:`take_aux`); the Algorithm 2
-            replacement verbs are uniform-law-only and refuse an
-            aux-carrying buffer.
+        schema: keep records in a slab of this record schema; ``None``
+            runs count-only, which powers the large benchmark runs,
+            where per-record state would dominate the cost of the
+            experiment without affecting any I/O behaviour.
+        aux_width: float64 auxiliary columns carried per record (a
+            sampling law's keys and stream positions, the biased file's
+            effective weight).  Aux rows ride :meth:`append` /
+            :meth:`add_admitted` in lock-step with the records and come
+            back permuted identically by :meth:`drain` (via
+            :meth:`take_aux`).
     """
 
     def __init__(self, capacity: int, rng: random.Random,
-                 *, retain_records: bool = True,
-                 np_rng: np.random.Generator | None = None,
+                 *, np_rng: np.random.Generator | None = None,
                  schema: RecordSchema | None = None,
                  aux_width: int = 0) -> None:
         if capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
-        if schema is not None and schema.weighted:
-            raise ValueError("columnar buffers are uniform-only; weighted "
-                             "sampling stays on the object path")
         if aux_width < 0:
             raise ValueError("aux_width cannot be negative")
-        if aux_width and not (retain_records or schema is not None):
+        if aux_width and schema is None:
             raise ValueError("aux columns require record retention")
         self.capacity = capacity
         self._rng = rng
@@ -91,17 +73,11 @@ class SampleBuffer:
             np.zeros(capacity, dtype=schema.dtype)
             if schema is not None else None
         )
-        self._retain = retain_records or schema is not None
-        self._records: list[Record] | None = (
-            [] if self._retain and schema is None else None
-        )
-        self._weights: list[float] | None = None
         self._aux: np.ndarray | None = (
             np.zeros((capacity, aux_width)) if aux_width else None
         )
         self._drained_aux: np.ndarray | None = None
         self._count = 0
-        self._scale = 1.0
 
     # -- observers --------------------------------------------------------
 
@@ -113,40 +89,21 @@ class SampleBuffer:
     def is_full(self) -> bool:
         return self._count >= self.capacity
 
-    @property
-    def retains_records(self) -> bool:
-        return self._retain
-
-    @property
-    def columnar(self) -> bool:
-        return self._slab is not None
-
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self) -> Iterator[Record]:
-        if self._slab is not None:
-            return iter(RecordBatch(self._schema,
-                                    self._slab[:self._count]))
-        if self._records is None:
-            raise TypeError("buffer is running in count-only mode")
-        return iter(self._records)
+        return iter(RecordBatch(self._schema, self.pending_view()))
 
     def pending_view(self) -> np.ndarray:
-        """The live slab rows (columnar mode): a view, not a copy.
+        """The live slab rows: a view, not a copy.
 
         The query path concatenates this straight into its combined
         array; callers must not hold the view across a mutation.
         """
         if self._slab is None:
-            raise TypeError("buffer is not columnar")
+            raise TypeError("buffer is running in count-only mode")
         return self._slab[:self._count]
-
-    def weights(self) -> list[float]:
-        """Current effective weights (scaled), weighted buffers only."""
-        if self._weights is None:
-            raise TypeError("buffer holds no weights")
-        return [w * self._scale for w in self._weights]
 
     @property
     def aux_width(self) -> int:
@@ -160,8 +117,7 @@ class SampleBuffer:
 
     # -- mutation ---------------------------------------------------------
 
-    def append(self, record: Record | None, weight: float | None = None,
-               *, aux=None) -> None:
+    def append(self, record: Record | None, *, aux=None) -> None:
         """Add one record unconditionally (start-up phase).
 
         While the reservoir is still filling nothing is ever evicted, so
@@ -174,37 +130,15 @@ class SampleBuffer:
         """
         if self.is_full:
             raise ValueError("buffer full; flush before appending more")
-        if (aux is None) != (self._aux is None):
-            raise TypeError("aux row and buffer aux_width must agree")
-        if aux is not None:
-            self._aux[self._count] = aux
-        if self._slab is not None:
-            if weight is not None:
-                raise TypeError("columnar buffers are uniform-only")
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            self._slab[self._count] = self._encode_row(record)
-            self._count += 1
-            return
-        if weight is not None and self._weights is None:
-            if self._count > 0:
-                raise ValueError("cannot switch to weighted mode mid-fill")
-            self._weights = []
-        if self._records is not None:
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            self._records.append(record)
-        if self._weights is not None:
-            if weight is None:
-                raise ValueError("weighted buffer requires a weight")
-            self._weights.append(weight / self._scale)
+        self._check_aux(aux)
+        self._write(self._count, record, aux)
         self._count += 1
 
     def append_count(self, n: int) -> None:
         """Add ``n`` anonymous records (count-only fast path)."""
         if n < 0:
             raise ValueError("cannot append a negative count")
-        if self._retain:
+        if self._slab is not None:
             raise TypeError("buffer retains records; use append instead")
         if self._count + n > self.capacity:
             raise ValueError("append_count would overfill the buffer")
@@ -223,26 +157,20 @@ class SampleBuffer:
                              "buffered records")
         if self._aux is not None:
             raise TypeError("aux-carrying buffers do not replace in place")
-        if record is None:
-            raise ValueError("record-retaining buffer needs the record")
-        if self._slab is not None:
-            self._slab[slot] = self._encode_row(record)
-            return
-        if self._records is None:
+        if self._slab is None:
             raise TypeError("buffer is running in count-only mode")
-        if self._weights is not None:
-            raise TypeError("weighted buffers replace via add_admitted")
-        self._records[slot] = record
+        self._write(slot, record, None)
 
     def add_admitted(self, record: Record | None, reservoir_size: int,
-                     weight: float | None = None) -> bool:
+                     *, aux=None) -> bool:
         """Place one admitted record (Algorithm 2, lines 6-10).
 
         Args:
             record: the record, or ``None`` in count-only mode.
             reservoir_size: ``|R|``, the fixed reservoir capacity.
-            weight: effective weight for weighted operation; the first
-                weighted add switches the buffer into weighted mode.
+            aux: the record's aux row, when the buffer carries aux
+                columns; an in-buffer replacement overwrites the
+                replaced slot's aux row too.
 
         Returns:
             True if the record *joined* the buffer (deferring one disk
@@ -254,77 +182,25 @@ class SampleBuffer:
         """
         if self.is_full:
             raise ValueError("buffer full; flush before admitting more")
-        if self._aux is not None:
-            raise TypeError("Algorithm 2 replacement is uniform-law-only; "
-                            "aux-carrying buffers stage via append")
-        if self._slab is not None:
-            if weight is not None:
-                raise TypeError("columnar buffers are uniform-only")
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            # Same two draws, same order, as the object path below.
-            if (self._count > 0
-                    and self._rng.random() * reservoir_size < self._count):
-                self._slab[self._rng.randrange(self._count)] = (
-                    self._encode_row(record))
-                return False
-            self._slab[self._count] = self._encode_row(record)
-            self._count += 1
-            return True
-        if weight is not None and self._weights is None:
-            if self._count > 0:
-                raise ValueError("cannot switch to weighted mode mid-fill")
-            self._weights = []
+        self._check_aux(aux)
+        if self._slab is not None and record is None:
+            raise ValueError("record-retaining buffer needs the record")
         # In-buffer replacement with probability count / |R|.
-        if self._count > 0 and self._rng.random() * reservoir_size < self._count:
+        if (self._count > 0
+                and self._rng.random() * reservoir_size < self._count):
             slot = self._rng.randrange(self._count)
-            if self._records is not None and record is not None:
-                self._records[slot] = record
-            if self._weights is not None:
-                if weight is None:
-                    raise ValueError("weighted buffer requires a weight")
-                self._weights[slot] = weight / self._scale
-            return False
-        if self._records is not None:
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            self._records.append(record)
-        if self._weights is not None:
-            if weight is None:
-                raise ValueError("weighted buffer requires a weight")
-            self._weights.append(weight / self._scale)
-        self._count += 1
-        return True
-
-    def extend(self, records: Sequence[Record | None]) -> None:
-        """Batch :meth:`append` for the start-up phase.
-
-        No eviction branch exists while the reservoir is filling, so a
-        whole slice of admitted records joins in one list extension.
-        Weighted buffers append per record (weights are per-record
-        state).
-        """
-        n = len(records)
-        if n == 0:
-            return
-        if self._count + n > self.capacity:
-            raise ValueError("extend would overfill the buffer")
-        if self._weights is not None:
-            raise TypeError("weighted buffers append per record")
-        if self._aux is not None:
-            raise TypeError("aux-carrying buffers append per record")
-        if self._slab is not None:
-            raise TypeError("buffer is columnar; use extend_batch")
-        if self._records is not None:
-            if any(record is None for record in records):
-                raise ValueError("record-retaining buffer needs the record")
-            self._records.extend(records)
-        self._count += n
+            joined = False
+        else:
+            slot = self._count
+            joined = True
+        self._write(slot, record, aux)
+        self._count += joined
+        return joined
 
     def extend_batch(self, batch: RecordBatch) -> None:
-        """Columnar :meth:`extend`: one slab slice copy (start-up phase)."""
+        """Batch :meth:`append`: one slab slice copy (start-up phase)."""
         if self._slab is None:
-            raise TypeError("buffer is not columnar; use extend")
+            raise TypeError("buffer is running in count-only mode")
         if self._aux is not None:
             raise TypeError("aux-carrying buffers append per record")
         n = len(batch)
@@ -335,14 +211,15 @@ class SampleBuffer:
         self._slab[self._count:self._count + n] = batch.array
         self._count += n
 
-    def absorb_many(self, records: Sequence[Record | None],
-                    reservoir_size: int, *, start: int = 0) -> int:
+    def absorb_batch(self, batch: RecordBatch, reservoir_size: int,
+                     *, start: int = 0) -> int:
         """Batch :meth:`add_admitted`: one vectorised coin-flip draw.
 
-        Processes ``records[start:]`` until the buffer fills or the
-        batch is exhausted, and returns how many records were consumed
-        -- the caller flushes on ``is_full`` and re-enters with the
-        remainder, mirroring Algorithm 2's per-record flush check.
+        Processes ``batch[start:]`` until the buffer fills or the batch
+        is exhausted, and returns how many records were consumed -- the
+        caller flushes on ``is_full`` and re-enters with the remainder,
+        mirroring Algorithm 2's per-record flush check.  Joins land as
+        one slab slice copy per chunk.
 
         The in-buffer replacement probability ``count/|R|`` depends on
         the running join count, so the decisions are not i.i.d.; the
@@ -353,66 +230,35 @@ class SampleBuffer:
         below the bound are resolved sequentially.  Identical output
         distribution to a loop of :meth:`add_admitted` calls (tested).
         """
-        if self.is_full:
-            raise ValueError("buffer full; flush before admitting more")
-        if self._weights is not None:
-            raise TypeError("weighted buffers admit per record; "
-                            "use add_admitted")
-        if self._aux is not None:
-            raise TypeError("Algorithm 2 replacement is uniform-law-only; "
-                            "aux-carrying buffers stage via append")
-        n = len(records)
-        if not 0 <= start <= n:
-            raise ValueError(f"start {start} outside the batch of {n}")
-        consumed = 0
-        while start + consumed < n and not self.is_full:
-            room = self.capacity - self._count
-            chunk = min(n - start - consumed, max(2 * room, 64))
-            consumed += self._absorb_chunk(records, start + consumed,
-                                           chunk, reservoir_size)
-        return consumed
-
-    def absorb_batch(self, batch: RecordBatch, reservoir_size: int,
-                     *, start: int = 0) -> int:
-        """Columnar :meth:`absorb_many`: joins land as slab slice copies.
-
-        Runs the identical decision kernel (same RNG stream, same
-        admission law), then applies the joins as one fancy-index copy
-        from the batch's array per chunk instead of per-record
-        appends.  Returns the records consumed, like
-        :meth:`absorb_many`.
-        """
         if self._slab is None:
-            raise TypeError("buffer is not columnar; use absorb_many")
+            raise TypeError("buffer is running in count-only mode")
+        return self._absorb(len(batch), reservoir_size, batch.array, start)
+
+    def absorb_count(self, n: int, reservoir_size: int) -> int:
+        """Count-only :meth:`absorb_batch`: the same decision kernel over
+        ``n`` anonymous records, returning how many it consumed."""
+        if self._slab is not None:
+            raise TypeError("buffer retains records; use absorb_batch")
+        return self._absorb(n, reservoir_size, None, 0)
+
+    def _absorb(self, n: int, reservoir_size: int,
+                array: np.ndarray | None, start: int) -> int:
         if self._aux is not None:
-            raise TypeError("Algorithm 2 replacement is uniform-law-only; "
-                            "aux-carrying buffers stage via append")
+            raise TypeError("aux-carrying buffers admit per record")
         if self.is_full:
             raise ValueError("buffer full; flush before admitting more")
-        n = len(batch)
         if not 0 <= start <= n:
             raise ValueError(f"start {start} outside the batch of {n}")
-        array = batch.array
         consumed = 0
         while start + consumed < n and not self.is_full:
             room = self.capacity - self._count
             chunk = min(n - start - consumed, max(2 * room, 64))
-            base = start + consumed
             took, count, replaces = self._absorb_decisions(
                 chunk, reservoir_size)
-            self._apply_absorb_array(array, base, took, replaces)
+            if array is not None:
+                self._apply_absorb(array, start + consumed, took, replaces)
             self._count = count
             consumed += took
-        return consumed
-
-    def _absorb_chunk(self, records: Sequence[Record | None], base: int,
-                      m: int, reservoir_size: int) -> int:
-        consumed, count, replaces = self._absorb_decisions(m, reservoir_size)
-        if self._slab is not None:
-            self._apply_absorb_rows(records, base, consumed, replaces)
-        elif self._records is not None:
-            self._apply_absorb_list(records, base, consumed, replaces)
-        self._count = count
         return consumed
 
     def _absorb_decisions(self, m: int, reservoir_size: int
@@ -422,9 +268,7 @@ class SampleBuffer:
         Returns ``(consumed, count_after, replaces)`` where
         ``replaces`` lists confirmed in-buffer replacements as
         ``(batch index, buffer count at that moment)``; every other
-        consumed index is a join.  Consumes exactly the RNG stream the
-        original fused kernel did, so object and columnar storage see
-        identical decisions for identical seeds.
+        consumed index is a join.
         """
         if self._np_rng is None:
             self._np_rng = np.random.default_rng(self._rng.getrandbits(64))
@@ -463,58 +307,14 @@ class SampleBuffer:
                 count += tail
         return consumed, count, replaces
 
-    def _apply_absorb_list(self, records: Sequence[Record | None],
-                           base: int, consumed: int,
-                           replaces: list[tuple[int, int]]) -> None:
-        if any(records[base + j] is None for j in range(consumed)):
-            raise ValueError("record-retaining buffer needs the record")
-        recs = self._records
-        position = 0
-        for j, _count_at in replaces:
-            recs.extend(records[base + position:base + j])
-            position = j + 1
-        recs.extend(records[base + position:base + consumed])
-        # Replaying the replacements after the joins is equivalent
-        # to interleaving: joins only append, and each replacement
-        # slot draw uses the buffer size of its own moment.
-        randrange = self._rng.randrange
-        for j, count_at in replaces:
-            recs[randrange(count_at)] = records[base + j]
+    def _apply_absorb(self, array: np.ndarray, base: int, consumed: int,
+                      replaces: list[tuple[int, int]]) -> None:
+        """Joins as one fancy-index slice copy, then the replacements.
 
-    def _apply_absorb_rows(self, records: Sequence[Record | None],
-                           base: int, consumed: int,
-                           replaces: list[tuple[int, int]]) -> None:
-        """Object-record application against the slab (the shim path)."""
-        slab = self._slab
-        encode = self._encode_row
-        position = 0
-        pos = self._count
-        for j, _count_at in replaces:
-            for i in range(position, j):
-                record = records[base + i]
-                if record is None:
-                    raise ValueError(
-                        "record-retaining buffer needs the record")
-                slab[pos] = encode(record)
-                pos += 1
-            position = j + 1
-        for i in range(position, consumed):
-            record = records[base + i]
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            slab[pos] = encode(record)
-            pos += 1
-        randrange = self._rng.randrange
-        for j, count_at in replaces:
-            record = records[base + j]
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            slab[randrange(count_at)] = encode(record)
-
-    def _apply_absorb_array(self, array: np.ndarray, base: int,
-                            consumed: int,
-                            replaces: list[tuple[int, int]]) -> None:
-        """Columnar application: joins as one fancy-index slice copy."""
+        Replaying the replacements after the joins is equivalent to
+        interleaving: joins only append, and each replacement slot draw
+        uses the buffer size of its own moment.
+        """
         slab = self._slab
         if not replaces:
             slab[self._count:self._count + consumed] = (
@@ -529,94 +329,63 @@ class SampleBuffer:
         for j, count_at in replaces:
             slab[randrange(count_at)] = array[base + j]
 
-    def _encode_row(self, record: Record):
+    def _check_aux(self, aux) -> None:
+        if (aux is None) != (self._aux is None):
+            raise TypeError("aux row and buffer aux_width must agree")
+
+    def _write(self, slot: int, record: Record | None, aux) -> None:
+        """Store ``record`` (and its aux row) in ``slot``; count-only
+        buffers store nothing."""
+        if self._slab is None:
+            return
+        if record is None:
+            raise ValueError("record-retaining buffer needs the record")
         # One scalar-codec pack per row keeps slab bytes identical to
-        # what the object path would eventually encode.
-        return np.frombuffer(self._schema.encode(record),
-                             dtype=self._schema.dtype)[0]
+        # what a whole-batch encode of the same records produces.
+        self._slab[slot] = np.frombuffer(self._schema.encode(record),
+                                         dtype=self._schema.dtype)[0]
+        if aux is not None:
+            self._aux[slot] = aux
 
-    def scale_weights(self, factor: float) -> None:
-        """Section 7.3.2 step (2): scale every buffered effective weight."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        if self._weights is None:
-            raise TypeError("buffer holds no weights")
-        self._scale *= factor
-        if self._scale > _RENORMALIZE_ABOVE:
-            self._weights = [w * self._scale for w in self._weights]
-            self._scale = 1.0
-
-    def drain(self) -> tuple[list[Record] | None, list[float] | None, int]:
-        """Empty the buffer, returning (records, weights, count).
+    def drain(self) -> tuple[RecordBatch | None, int]:
+        """Empty the buffer, returning ``(records, count)``.
 
         Records come back *shuffled* -- the paper's flush step begins
         "first randomize the ordering of the sampled records in the
         buffer" (Section 4.3), and the ledger's pop-from-the-end
-        eviction rule depends on it.
-
-        Columnar buffers return a freshly-permuted
-        :class:`~repro.storage.recordbatch.RecordBatch` (the slab is
-        reused for the next fill) with ``weights`` always ``None``.
+        eviction rule depends on it -- as a freshly permuted
+        :class:`~repro.storage.recordbatch.RecordBatch`; the aux rows,
+        permuted identically, wait for :meth:`take_aux`.  A count-only
+        buffer returns ``(None, count)`` and draws nothing.
 
         Double-buffering contract (:mod:`repro.pipeline`): the return
-        value never aliases live buffer storage -- the object path
-        copies the record list, and the columnar path's permutation is
-        a fancy-index *copy* of the slab, not a view.  The drained
-        result is therefore a *sealed* buffer: the ingest thread keeps
+        value never aliases live buffer storage -- the permutation is a
+        fancy-index *copy* of the slab, not a view.  The drained result
+        is therefore a *sealed* buffer: the ingest thread keeps
         admitting into this (now empty) buffer while the background
         writer drains the sealed one, with no shared mutable state.
         """
-        if self._slab is not None:
-            count = self._count
-            # Shuffle an index list through the *same* random.Random
-            # the object path shuffles its record list with: both modes
-            # consume identical RNG streams, so flush cadence and every
-            # downstream draw stay bit-exact between them.
-            order = list(range(count))
-            self._rng.shuffle(order)
-            index = np.asarray(order, dtype=np.intp)
-            batch = RecordBatch(self._schema, self._slab[:count][index])
-            if self._aux is not None:
-                self._drained_aux = self._aux[:count][index]
-            self._count = 0
-            return batch, None, count
         count = self._count
-        records = self._records
-        weights = None
-        if self._weights is not None:
-            weights = [w * self._scale for w in self._weights]
-        if records is not None:
-            paired = (list(zip(records, weights)) if weights is not None
-                      else None)
-            if paired is not None:
-                self._rng.shuffle(paired)
-                records = [r for r, _ in paired]
-                weights = [w for _, w in paired]
-            elif self._aux is not None:
-                # Index-order shuffle: Fisher-Yates over an index list
-                # applies the same permutation (and consumes the same
-                # RNG stream) as shuffling the record list directly,
-                # and lets the aux rows ride along in lock-step.
-                order = list(range(count))
-                self._rng.shuffle(order)
-                records = [records[i] for i in order]
-                self._drained_aux = (
-                    self._aux[:count][np.asarray(order, dtype=np.intp)])
-            else:
-                records = list(records)
-                self._rng.shuffle(records)
         self._count = 0
-        self._records = [] if self._retain else None
-        self._weights = [] if self._weights is not None else None
-        self._scale = 1.0
-        return records, weights, count
+        if self._slab is None:
+            return None, count
+        # Fisher-Yates over an index list through the random.Random:
+        # the same draws, and the same permutation, as shuffling a
+        # list of the records (or of (record, weight) pairs) directly.
+        order = list(range(count))
+        self._rng.shuffle(order)
+        index = np.asarray(order, dtype=np.intp)
+        batch = RecordBatch(self._schema, self._slab[:count][index])
+        if self._aux is not None:
+            self._drained_aux = self._aux[:count][index]
+        return batch, count
 
     def restore_batch(self, batch: RecordBatch,
                       aux: np.ndarray | None = None) -> None:
         """Refill an empty slab buffer with saved rows (checkpoint
         restore): one slice copy of the rows and of their aux rows."""
         if self._slab is None:
-            raise TypeError("buffer is not columnar; use append")
+            raise TypeError("buffer is running in count-only mode")
         if self._count:
             raise ValueError("restore_batch needs an empty buffer")
         if (aux is None) != (self._aux is None):

@@ -17,14 +17,18 @@ Format version 3.  Counters, layout, law and RNG state, the caller's
 are the manifest.  A ledger's records live in its slab: row ``i`` is
 record ``i`` packed with ``RecordSchema(record_size).dtype`` (the codec
 the disk segments, the shared-memory rings and the ledgers' slabs
-share), followed by its stored weight (biased structures) and its law
-aux columns, both float64, so every float, including A-ExpJ's ``-inf``
-log keys, round-trips bit-exactly.  The manifest names each ledger's
-slab and its ``live`` count; restore decodes the slab's first ``live``
-rows and checks row ``live - 1`` against a copy the manifest carries.
-The buffer stores its *stored* weights plus the epoch factor they are
-multiplied by, so a restored biased buffer repeats the saved one's
-floating-point arithmetic.  Payloads follow the slot contract of
+share), followed by its float64 aux columns (the biased structures'
+effective weight, a law's keys), so every float, including A-ExpJ's
+``-inf`` log keys, round-trips bit-exactly.  The manifest names each
+ledger's slab and its ``live`` count; restore decodes the slab's first
+``live`` rows and checks row ``live - 1`` against a copy the manifest
+carries.  A biased buffer's aux column holds its *stored* weights and
+the manifest the epoch factor they are multiplied by
+(``weight_epoch``), so a restored biased buffer repeats the saved one's
+floating-point arithmetic; a manifest that names the factor
+``buffer_scale`` and the weights ``buffer_weights`` (the record-list
+layout's fields) restores the same way.  Payloads follow the slot
+contract of
 :meth:`~repro.storage.records.RecordSchema.decode`: padded to the slot
 width, trailing NUL bytes dropped.  Documents of versions 1 and 2
 (records inline in the document) are rejected.
@@ -80,19 +84,9 @@ from .subsample import SubsampleLedger
 FORMAT_VERSION = 3
 
 
-def _encode(schema: RecordSchema, records) -> bytes:
-    """A record list, a RecordBatch or a structured slab view as packed
-    ``schema.dtype`` rows."""
-    if isinstance(records, list):
-        return schema.encode_batch(records)
-    return schema.encode_many(records)
-
-
-def _pack_records(schema: RecordSchema, records) -> str | None:
-    """Records as base64 of their packed slab."""
-    if records is None:
-        return None
-    return base64.b64encode(_encode(schema, records)).decode("ascii")
+def _pack_records(schema: RecordSchema, rows: np.ndarray) -> str:
+    """Slab rows as base64 of their packed bytes."""
+    return base64.b64encode(schema.encode_many(rows)).decode("ascii")
 
 
 def _unpack_records(schema: RecordSchema, text: str | None, count: int):
@@ -127,15 +121,13 @@ def _unpack_aux(text: str | None, width: int) -> np.ndarray | None:
 
 class _RowLayout:
     """One slab row of a structure's ledgers: the packed record, then
-    its stored weight (biased structures) and its law aux columns."""
+    its aux columns (a biased structure's effective weight is the row
+    layout's ``record, weight`` of older builds, byte for byte)."""
 
     def __init__(self, gf) -> None:
         self.schema = gf.schema
-        self.weighted = isinstance(gf, BiasedSamplingMixin)
-        self.aux_width = gf._law.aux_width
+        self.aux_width = gf.buffer.aux_width
         fields = [("record", self.schema.dtype)]
-        if self.weighted:
-            fields.append(("weight", "<f8"))
         if self.aux_width:
             fields.append(("aux", "<f8", (self.aux_width,)))
         self.dtype = np.dtype(fields)
@@ -143,27 +135,22 @@ class _RowLayout:
 
     def pack(self, ledger: SubsampleLedger, start: int, stop: int) -> bytes:
         """Rows ``start:stop`` of ``ledger`` as packed bytes."""
-        data = _encode(self.schema, ledger.records[start:stop])
-        if self.row_size == self.schema.record_size:
-            return data
+        records = ledger.records.array[start:stop]
+        if not self.aux_width:
+            return self.schema.encode_many(records)
         rows = np.empty(stop - start, self.dtype)
-        rows["record"] = np.frombuffer(data, self.schema.dtype)
-        if self.weighted:
-            rows["weight"] = ledger.weights[start:stop]
-        if self.aux_width:
-            rows["aux"] = ledger.aux[start:stop]
+        rows["record"] = records
+        rows["aux"] = ledger.aux[start:stop]
         return rows.tobytes()
 
     def unpack(self, data: bytes, live: int):
-        """(records, weights, aux) of the first ``live`` rows: a
-        writable :class:`RecordBatch`, or a record list for the biased
-        structures, which keep weights beside record lists."""
+        """(records, aux) of the first ``live`` rows: a writable
+        :class:`RecordBatch` and its aux rows (``None`` without aux
+        columns)."""
         rows = np.frombuffer(data, self.dtype, count=live)
-        batch = RecordBatch(self.schema, rows["record"])
-        records = batch.to_records() if self.weighted else batch.copy()
-        weights = rows["weight"].tolist() if self.weighted else None
+        records = RecordBatch(self.schema, rows["record"].copy())
         aux = rows["aux"].copy() if self.aux_width else None
-        return records, weights, aux
+        return records, aux
 
 
 @dataclass(frozen=True)
@@ -339,7 +326,7 @@ def _decode_ledger(state: dict, gf, layout: _RowLayout,
     ledger.first_level = state["first_level"]
     ledger.tail_size = state["tail_size"]
     ledger.live = state["live"]
-    ledger.records = ledger.weights = ledger.aux = None
+    ledger.records = ledger.aux = None
     slab = state["slab"]
     if slab is not None:
         data, name, rows = _read_slab(slab, ledger.live, layout, slabs,
@@ -348,15 +335,14 @@ def _decode_ledger(state: dict, gf, layout: _RowLayout,
             raise ValueError(
                 f"slab {name} row {ledger.live - 1} differs from the row "
                 f"its manifest recorded")
-        ledger.records, ledger.weights, ledger.aux = layout.unpack(
-            data, ledger.live)
+        ledger.records, ledger.aux = layout.unpack(data, ledger.live)
         if "file" in slab:
             slabs.adopt(ledger, slab["file"], rows)
     elif gf.config.retain_records:
         if ledger.live:
             raise ValueError(f"ledger {ledger.ident} has {ledger.live} "
                              f"live records but no slab")
-        ledger.records, ledger.weights, ledger.aux = layout.unpack(b"", 0)
+        ledger.records, ledger.aux = layout.unpack(b"", 0)
     ledger.stack_balance = state["stack_balance"]
     ledger.stack_capacity = state["stack_capacity"]
     ledger.overflowed = False
@@ -406,12 +392,9 @@ def save_geometric_file(gf: GeometricFile | MultipleGeometricFiles,
     """
     layout = _RowLayout(gf)
     buffer = gf.buffer
-    buffer_records = buffer_weights = buffer_aux = None
-    if buffer.retains_records:
-        buffer_records = _pack_records(
-            gf.schema,
-            buffer.pending_view() if buffer.columnar else list(buffer))
-        buffer_weights = _pack_floats(buffer._weights)
+    buffer_records = buffer_aux = None
+    if gf.config.retain_records:
+        buffer_records = _pack_records(gf.schema, buffer.pending_view())
         if buffer.aux_width:
             buffer_aux = _pack_floats(buffer.aux_view())
     state = {
@@ -426,8 +409,6 @@ def save_geometric_file(gf: GeometricFile | MultipleGeometricFiles,
         "next_ident": gf._next_ident,
         "buffer_count": buffer.count,
         "buffer_records": buffer_records,
-        "buffer_weights": buffer_weights,
-        "buffer_scale": buffer._scale,
         "buffer_aux": buffer_aux,
         "law_state": gf._law.state_dict(),
         "rng_state": _encode_py_rng(gf._rng.getstate()),
@@ -440,6 +421,7 @@ def save_geometric_file(gf: GeometricFile | MultipleGeometricFiles,
         state["multipliers"] = {str(k): v
                                 for k, v in gf.multipliers.items()}
         state["overflow_events"] = gf.overflow_events
+        state["weight_epoch"] = gf.weight_epoch
     if isinstance(gf, MultipleGeometricFiles):
         sink.write(json.dumps(state)[:-1] + ', "files": [')
         for index, file in enumerate(gf.files):
@@ -507,6 +489,12 @@ def load_geometric_file(source: IO[str], device: BlockDevice,
         gf.multipliers = {int(k): v
                           for k, v in state["multipliers"].items()}
         gf.overflow_events = state["overflow_events"]
+        # Older manifests keep the buffer's weights and their epoch
+        # factor beside a record-list buffer.
+        gf.weight_epoch = state.get("weight_epoch",
+                                    state.get("buffer_scale", 1.0))
+        if state.get("buffer_weights") is not None:
+            state["buffer_aux"] = state["buffer_weights"]
     elif kind == "GeometricFile":
         config = GeometricFileConfig(**state["config"])
         gf = GeometricFile(device, config, seed=0, weight_fn=weight_fn)
@@ -541,18 +529,10 @@ def load_geometric_file(source: IO[str], device: BlockDevice,
     if records is None:
         buffer.append_count(state["buffer_count"])
     else:
-        aux = _unpack_aux(state["buffer_aux"], buffer.aux_width)
-        if buffer.columnar:
-            buffer.restore_batch(records, aux)
-        else:
-            for index, record in enumerate(records.to_records()):
-                buffer.append(record,
-                              aux=None if aux is None else aux[index])
-        # Stored weights and their epoch factor go back verbatim, so the
-        # next scale_weights() repeats the saved buffer's arithmetic.
-        weights = _unpack_floats(state["buffer_weights"])
-        buffer._weights = None if weights is None else weights.tolist()
-        buffer._scale = state["buffer_scale"]
+        aux = _unpack_aux(state.get("buffer_aux"), buffer.aux_width)
+        if aux is None and buffer.aux_width and not len(records):
+            aux = np.zeros((0, buffer.aux_width))
+        buffer.restore_batch(records, aux)
     law_state = state.get("law_state")
     if law_state is not None:
         gf._law.restore_state(law_state)

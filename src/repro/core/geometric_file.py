@@ -177,9 +177,9 @@ class GeometricFile(StreamReservoir):
     """
 
     name = "geo file"
-    #: Retained records live in slabs; the biased subclass, which keeps
-    #: a weight beside each record, keeps record lists.
-    _slab_ledgers = True
+    #: Aux columns the structure keeps per record beside its law's (the
+    #: biased subclass keeps Section 7.3.1's effective weight in one).
+    _structure_aux = 0
 
     def __init__(self, device: BlockDevice, config: GeometricFileConfig,
                  *, seed: int | None = 0, weight_fn=None) -> None:
@@ -210,15 +210,14 @@ class GeometricFile(StreamReservoir):
         # per-segment ceil-division is pure overhead.
         self._segment_blocks = [self._blocks_for(size)
                                 for size in self.ladder.segment_sizes]
-        slabs = config.retain_records and self._slab_ledgers
-        self.buffer = SampleBuffer(config.buffer_capacity, self._rng,
-                                   retain_records=config.retain_records,
-                                   np_rng=self._np_rng,
-                                   schema=self.schema if slabs else None,
-                                   aux_width=law.aux_width)
+        self.buffer = SampleBuffer(
+            config.buffer_capacity, self._rng, np_rng=self._np_rng,
+            schema=self.schema if config.retain_records else None,
+            aux_width=law.aux_width + self._structure_aux)
         #: Encode real segment payloads only when the device can hand
         #: them back; cost-only devices keep the write_zeros charge.
-        self._store_bytes = slabs and device_stores_bytes(device)
+        self._store_bytes = (config.retain_records
+                             and device_stores_bytes(device))
         self.subsamples: list[SubsampleLedger] = []
         self._victim_scratch = VictimScratch()
         self._startup_sizes = startup_fill_sizes(
@@ -280,59 +279,6 @@ class GeometricFile(StreamReservoir):
     def n_subsamples(self) -> int:
         return len(self.subsamples)
 
-    @property
-    def sample_size(self) -> int:
-        """Records a full :meth:`sample_batch` returns right now."""
-        return self._law.sample_size(self)
-
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """:meth:`sample_batch`'s rows as records (record-retaining mode).
-
-        Args:
-            k: optionally a uniform ``k``-subset; ``None`` returns the
-                full reservoir.
-            rng: a ``random.Random`` or ``numpy.random.Generator`` for
-                every draw of the read.  Without one, both draws come
-                from the structure's ``random.Random``, as the
-                record-list read's ``apply_pending`` and ``sample(records,
-                k)`` drew them, and none from its numpy generator.
-        """
-        gen = rng if rng is not None else self._rng
-        return self._read(k, gen, gen).to_records()
-
-    def sample_batch(self, k: int | None = None, *, rng=None) -> RecordBatch:
-        """The current reservoir, or a uniform ``k``-subset of it.
-
-        At flush boundaries the reservoir is exactly the disk-resident
-        sample; in between, each buffered row displaces a uniform disk
-        row, so a read is a valid size-``min(N, seen)`` sample at any
-        instant.  A uniform-law ``k``-read gathers only its ``k`` rows
-        (see :meth:`~repro.sampling.laws.UniformLaw.read_batch`).
-
-        Args:
-            k: optionally a uniform ``k``-subset, uniformly ordered.
-            rng: a ``numpy.random.Generator`` (or ``random.Random``)
-                for every draw of the read, so a query need not touch
-                the structure's own streams.  Without one, the pending
-                rows' victims come from the structure's
-                ``random.Random`` (the record-list read's
-                ``apply_pending`` draw) and the ``k`` positions from its
-                numpy generator (one ``choice(size, k)``), so every
-                later admission and flush sees the generator states it
-                always saw.
-        """
-        if rng is None:
-            return self._read(k, self._rng, self._np_rng)
-        return self._read(k, rng, rng)
-
-    def _read(self, k: int | None, victims_rng, positions_rng
-              ) -> RecordBatch:
-        self.flush_barrier()
-        if not self.config.retain_records:
-            raise TypeError("file is running in count-only mode")
-        return RecordBatch(self.schema, self._law.read_batch(
-            self, k, victims_rng, positions_rng))
-
     def check_invariants(self) -> None:
         """Assert every ledger's conservation law; used heavily by tests."""
         held: dict[int, list[int]] = {}
@@ -382,15 +328,13 @@ class GeometricFile(StreamReservoir):
     def _startup_flush(self) -> None:
         """Write one initial subsample (Figure 3 a-c)."""
         level = self._startup_index
-        records, weights, count = self.buffer.drain()
+        records, count = self.buffer.drain()
         aux = self.buffer.take_aux()
         sizes = list(self.ladder.segment_sizes[level:])
         while sizes and sum(sizes) > count:
             sizes.pop()
         tail = count - sum(sizes)
-        ledger = self._new_ledger(sizes, level, tail, records)
-        ledger.weights = weights
-        ledger.aux = aux
+        ledger = self._new_ledger(sizes, level, tail, records, aux)
         self.subsamples.insert(0, ledger)
         for offset in range(len(sizes)):
             ledger.push_slot(self._layout.take_slot(level + offset))
@@ -414,7 +358,7 @@ class GeometricFile(StreamReservoir):
 
     def _flush(self) -> None:
         """Steady-state flush: Algorithm 3 plus the Section 4.5 mechanics."""
-        records, weights, count = self.buffer.drain()
+        records, count = self.buffer.drain()
         aux = self.buffer.take_aux()
         if self._law.uniform_victims:
             self._evict_victims(count)
@@ -431,10 +375,8 @@ class GeometricFile(StreamReservoir):
         freed_slots = self._release_all_segments(plan)
         ledger = self._new_ledger(
             list(self.ladder.segment_sizes), 0, self.ladder.tail_size,
-            records,
+            records, aux,
         )
-        ledger.weights = weights
-        ledger.aux = aux
         self.subsamples.insert(0, ledger)
         offset = 0
         for level, size in enumerate(self.ladder.segment_sizes):
@@ -458,12 +400,13 @@ class GeometricFile(StreamReservoir):
                    phase="steady")
 
     def _new_ledger(self, sizes: list[int], first_level: int, tail: int,
-                    records: RecordBatch | list[Record] | None
+                    records: RecordBatch | None, aux
                     ) -> SubsampleLedger:
         ledger = SubsampleLedger(
             self._next_ident, sizes, first_level, tail, records,
             stack_capacity=self.config.stack_records(),
         )
+        ledger.aux = aux
         ledger.stack_region = self._next_ident % self._layout.n_stack_regions
         self._next_ident += 1
         return ledger

@@ -94,8 +94,9 @@ class MultipleGeometricFiles(StreamReservoir):
     """
 
     name = "multiple geo files"
-    #: See :attr:`GeometricFile._slab_ledgers`.
-    _slab_ledgers = True
+    #: Aux columns the structure keeps per record beside its law's (the
+    #: biased subclass keeps Section 7.3.1's effective weight in one).
+    _structure_aux = 0
 
     def __init__(self, device: BlockDevice, config: MultiFileConfig,
                  *, seed: int | None = 0, weight_fn=None) -> None:
@@ -123,13 +124,12 @@ class MultipleGeometricFiles(StreamReservoir):
         # Per-level block counts, precomputed once (see GeometricFile).
         self._segment_blocks = [self._blocks_for(size)
                                 for size in self.ladder.segment_sizes]
-        slabs = config.retain_records and self._slab_ledgers
-        self.buffer = SampleBuffer(config.buffer_capacity, self._rng,
-                                   retain_records=config.retain_records,
-                                   np_rng=self._np_rng,
-                                   schema=self.schema if slabs else None,
-                                   aux_width=law.aux_width)
-        self._store_bytes = slabs and device_stores_bytes(device)
+        self.buffer = SampleBuffer(
+            config.buffer_capacity, self._rng, np_rng=self._np_rng,
+            schema=self.schema if config.retain_records else None,
+            aux_width=law.aux_width + self._structure_aux)
+        self._store_bytes = (config.retain_records
+                             and device_stores_bytes(device))
         self._victim_scratch = VictimScratch()
         self._startup_sizes = startup_fill_sizes(
             config.capacity, config.buffer_capacity, self.alpha
@@ -226,33 +226,6 @@ class MultipleGeometricFiles(StreamReservoir):
         hook)."""
         return self._all_ledgers()
 
-    @property
-    def sample_size(self) -> int:
-        """Records a full :meth:`sample_batch` returns right now."""
-        return self._law.sample_size(self)
-
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """:meth:`sample_batch`'s rows as records; see
-        :meth:`~repro.core.geometric_file.GeometricFile.sample`."""
-        gen = rng if rng is not None else self._rng
-        return self._read(k, gen, gen).to_records()
-
-    def sample_batch(self, k: int | None = None, *, rng=None) -> RecordBatch:
-        """Current reservoir, or a uniform ``k``-subset, as one
-        :class:`RecordBatch`; see
-        :meth:`~repro.core.geometric_file.GeometricFile.sample_batch`."""
-        if rng is None:
-            return self._read(k, self._rng, self._np_rng)
-        return self._read(k, rng, rng)
-
-    def _read(self, k: int | None, victims_rng, positions_rng
-              ) -> RecordBatch:
-        self.flush_barrier()
-        if not self.config.retain_records:
-            raise TypeError("files are running in count-only mode")
-        return RecordBatch(self.schema, self._law.read_batch(
-            self, k, victims_rng, positions_rng))
-
     def check_invariants(self) -> None:
         """Assert every ledger's conservation law and the global size."""
         for file in self.files:
@@ -302,15 +275,13 @@ class MultipleGeometricFiles(StreamReservoir):
         c = self._startup_index
         file = self.files[c % self.n_files]
         level = c // self.n_files
-        records, weights, count = self.buffer.drain()
+        records, count = self.buffer.drain()
         aux = self.buffer.take_aux()
         sizes = list(self.ladder.segment_sizes[level:])
         while sizes and sum(sizes) > count:
             sizes.pop()
         tail = count - sum(sizes)
-        ledger = self._new_ledger(sizes, level, tail, records)
-        ledger.weights = weights
-        ledger.aux = aux
+        ledger = self._new_ledger(sizes, level, tail, records, aux)
         file.subsamples.insert(0, ledger)
         for offset in range(len(sizes)):
             ledger.push_slot(file.layout.take_slot(level + offset))
@@ -334,7 +305,7 @@ class MultipleGeometricFiles(StreamReservoir):
 
     def _flush(self) -> None:
         """Steady-state flush into the round-robin target file."""
-        records, weights, count = self.buffer.drain()
+        records, count = self.buffer.drain()
         aux = self.buffer.take_aux()
         if self._law.uniform_victims:
             self._evict_victims(count)
@@ -348,10 +319,8 @@ class MultipleGeometricFiles(StreamReservoir):
         # New subsample lands in the dummy's slots (Figure 6 b).
         ledger = self._new_ledger(
             list(self.ladder.segment_sizes), 0, self.ladder.tail_size,
-            records,
+            records, aux,
         )
-        ledger.weights = weights
-        ledger.aux = aux
         file.subsamples.insert(0, ledger)
         plan = FlushPlan()
         offset = 0
@@ -412,12 +381,13 @@ class MultipleGeometricFiles(StreamReservoir):
                    phase="steady", file=file.index)
 
     def _new_ledger(self, sizes: list[int], first_level: int, tail: int,
-                    records: RecordBatch | list[Record] | None
+                    records: RecordBatch | None, aux
                     ) -> SubsampleLedger:
         ledger = SubsampleLedger(
             self._next_ident, sizes, first_level, tail, records,
             stack_capacity=self.config.stack_records(),
         )
+        ledger.aux = aux
         n_regions = self.ladder.n_disk_segments + 2
         ledger.stack_region = (self._next_ident // self.n_files) % n_regions
         self._next_ident += 1

@@ -40,8 +40,6 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..storage.records import Record
-
 if TYPE_CHECKING:
     from ..storage.recordbatch import RecordBatch
 
@@ -69,13 +67,10 @@ class SubsampleLedger:
             ``segment_sizes`` (initial subsamples created during
             start-up begin part-way down the ladder, Figure 3 b-c).
         tail_size: records of the in-memory group.
-        records: the actual live records, when the caller retains them
-            (tests, small runs); ``None`` for count-only operation.
-            Either a plain list or, under the columnar engine, a
-            :class:`~repro.storage.recordbatch.RecordBatch` -- the
-            ledger only ever measures (``len``), truncates (tail
-            ``del``), and iterates, which both containers support.
-            When given, the container must already be in uniform random
+        records: the live records as a
+            :class:`~repro.storage.recordbatch.RecordBatch` slab, when
+            the caller retains them; ``None`` for count-only operation.
+            When given, the slab must already be in uniform random
             order -- evictions pop from the end, which is a uniform
             choice for an exchangeable (pre-shuffled) sequence.
         stack_capacity: physical stack region size in records
@@ -91,7 +86,7 @@ class SubsampleLedger:
 
     def __init__(self, ident: int, segment_sizes: Iterable[int],
                  first_level: int, tail_size: int,
-                 records: "list[Record] | RecordBatch | None" = None,
+                 records: "RecordBatch | None" = None,
                  stack_capacity: int | None = None) -> None:
         self.ident = ident
         self._sizes = list(segment_sizes)
@@ -109,12 +104,10 @@ class SubsampleLedger:
             raise ValueError(
                 f"got {len(records)} records for a subsample of {self.live}"
             )
-        #: Effective weights parallel to ``records`` (biased sampling,
-        #: Section 7.3.1); trimmed in lock-step by :meth:`evict`.
-        self.weights: list[float] | None = None
-        #: Auxiliary float64 rows parallel to ``records`` (non-uniform
-        #: sampling laws: keys, stream positions); trimmed in lock-step
-        #: by :meth:`evict` / :meth:`evict_indices`.
+        #: Auxiliary float64 rows parallel to ``records`` (a sampling
+        #: law's keys and stream positions, the biased file's effective
+        #: weight); trimmed in lock-step by :meth:`evict` /
+        #: :meth:`evict_indices`.
         self.aux = None
         #: Signed: records in the stack region (+) or ghost debt (-).
         self.stack_balance = 0
@@ -229,8 +222,6 @@ class SubsampleLedger:
         self.live -= k
         if self.records is not None:
             del self.records[len(self.records) - k:]
-        if self.weights is not None:
-            del self.weights[len(self.weights) - k:]
         if self.aux is not None:
             self.aux = self.aux[:len(self.aux) - k]
         if self._head < len(self._sizes):
@@ -266,14 +257,7 @@ class SubsampleLedger:
             raise ValueError("eviction indices must be distinct and in "
                              "range")
         self.live -= k
-        if isinstance(self.records, list):
-            self.records = [r for r, alive in zip(self.records, keep)
-                            if alive]
-        else:  # RecordBatch
-            self.records = self.records.take(np.flatnonzero(keep))
-        if self.weights is not None:
-            self.weights = [w for w, alive in zip(self.weights, keep)
-                            if alive]
+        self.records = self.records.take(np.flatnonzero(keep))
         if self.aux is not None:
             self.aux = self.aux[keep]
         if self._head < len(self._sizes):

@@ -66,14 +66,6 @@ class ZoneMapStats:
         return 1.0 - self.subsamples_scanned / self.subsamples_total
 
 
-def _records(records):
-    """A ledger's records as objects: a slab decoded in one call, a
-    record list as it is."""
-    if isinstance(records, RecordBatch):
-        return records.to_records()
-    return records
-
-
 class ZoneMapIndex:
     """Per-subsample [min, max] envelopes over one record field.
 
@@ -160,22 +152,19 @@ class ZoneMapIndex:
                     float(column.min()), float(column.max())
                 )
                 continue
-            values = [self._extract(r) for r in _records(ledger.records)]
+            values = [self._extract(r) for r in ledger.records.to_records()]
             self._envelopes[ledger.ident] = _Envelope(min(values),
                                                       max(values))
         for ident in list(self._envelopes):
             if ident not in alive:
                 del self._envelopes[ident]
 
-    def _column_of(self, records) -> np.ndarray | None:
-        """The indexed column of a RecordBatch, or None for lists /
-        custom extractors."""
+    def _column_of(self, records: RecordBatch) -> np.ndarray | None:
+        """The indexed column of a slab, or None for custom
+        extractors."""
         if self._field is None:
             return None
-        array = getattr(records, "array", None)
-        if array is None:
-            return None
-        return array[self._field]
+        return records.array[self._field]
 
     def query(self, low: float, high: float) -> Iterator[Record]:
         """Records with the indexed field in ``[low, high]``.
@@ -204,19 +193,16 @@ class ZoneMapIndex:
             if envelope is None or not envelope.intersects(low, high):
                 continue
             stats.subsamples_scanned += 1
-            yield from self._scan(ledger.records or (), low, high, stats)
-        if gf.buffer.columnar:
-            yield from self._scan(RecordBatch(gf.schema,
-                                              gf.buffer.pending_view()),
-                                  low, high, stats)
-        elif gf.buffer.retains_records:
-            yield from self._scan(gf.buffer, low, high, stats)
+            yield from self._scan(ledger.records, low, high, stats)
+        yield from self._scan(RecordBatch(gf.schema,
+                                          gf.buffer.pending_view()),
+                              low, high, stats)
         self._emit_query(stats)
 
-    def _scan(self, records, low: float, high: float,
+    def _scan(self, records: RecordBatch, low: float, high: float,
               stats: ZoneMapStats) -> Iterator[Record]:
         """:meth:`query`'s filter over one ledger's (or the buffer's)
-        records: a slab with a named field is masked first, so only the
+        slab: with a named field the slab is masked first, so only the
         matching rows are decoded."""
         column = self._column_of(records)
         if column is not None:
@@ -226,7 +212,7 @@ class ZoneMapIndex:
             stats.records_matched += len(matches)
             yield from matches.to_records()
             return
-        for record in _records(records):
+        for record in records.to_records():
             stats.records_scanned += 1
             value = self._extract(record)
             if low <= value <= high:
@@ -240,13 +226,9 @@ class ZoneMapIndex:
         :class:`ZoneMapStats` accounting are identical to
         :meth:`query`; the per-record extractor loop is replaced by a
         vectorised compare-and-compress per scanned subsample.
-        Requires a file whose ledgers are slabs (any record-retaining
-        file but the biased ones) and a named (non-extractor) field.
+        Requires a named (non-extractor) field.
         """
         gf = self._gf
-        if not gf.buffer.columnar:
-            raise TypeError("query_batch needs a geometric file whose "
-                            "records are slabs")
         if self._field is None:
             raise TypeError(
                 "query_batch needs a named field; custom extractors "

@@ -183,8 +183,10 @@ def draw_distinct(rng: random.Random | np.random.Generator, n: int,
 
     A ``random.Random`` draws it as ``rng.sample(range(n), k)``, a numpy
     ``Generator`` as ``rng.choice(n, size=k, replace=False)``: the draws
-    the record-list reads made (``apply_pending``, ``_thin_records``,
-    ``_thin_batch``), so a read consumes each generator as they did.
+    the record-list reads made (``random.sample`` over the survivors of
+    the pending rows' victims, then over the materialised sample, and a
+    numpy ``choice`` for the batch form), so a read consumes each
+    generator as they did.
     """
     if isinstance(rng, random.Random):
         return np.fromiter(rng.sample(range(n), k), dtype=np.intp, count=k)
@@ -629,50 +631,68 @@ class StreamReservoir(abc.ABC):
         """
         self.flush_barrier()
 
-    def _thin_records(self, records, k: int | None, rng=None):
-        """Uniformly thin a record list to ``k`` (shared query helper).
+    # -- reads -------------------------------------------------------------
 
-        ``rng`` is the optional ``random.Random`` query generator the
-        caller's ``sample()`` already threads through; ``None`` falls
-        back to the structure's own stream, matching
-        :meth:`apply_pending`'s convention.
-        """
-        if k is None:
-            return records
-        if k > len(records):
-            raise ValueError(
-                f"cannot draw {k} records from a sample of {len(records)}")
-        gen = rng if rng is not None else self._rng
-        return gen.sample(records, k)
+    # A record-keeping structure exposes its resident slabs as
+    # ``iter_ledgers()`` (objects with ``live`` and a ``records`` slab),
+    # its pending rows as ``buffer.pending_view()`` and whether it is
+    # still filling as ``in_startup``; the law assembles reads from
+    # those.
 
-    # -- columnar queries --------------------------------------------------
+    @property
+    def sample_size(self) -> int:
+        """Records a full :meth:`sample_batch` returns right now."""
+        return self._law.sample_size(self)
 
-    def sample_batch(self, k: int | None = None, *, rng=None):
-        """The current sample as a :class:`RecordBatch`.
-
-        The base implementation is a decode shim over :meth:`sample`
-        (available wherever ``sample()`` is); the geometric structures
-        override it with a slab read that never materialises record
-        objects.
+    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
+        """:meth:`sample_batch`'s rows as records (record-keeping mode).
 
         Args:
-            k: optionally thin to a uniform ``k``-subset.
-            rng: optional ``numpy.random.Generator`` for the deferred-
-                eviction and subset draws, so queries need not perturb
-                the structure's own RNG stream.  Here the eviction draw
-                runs inside :meth:`sample` on a ``random.Random``
-                seeded from ``rng``.
+            k: optionally a uniform ``k``-subset; ``None`` returns the
+                full reservoir.
+            rng: a ``random.Random`` or ``numpy.random.Generator`` for
+                every draw of the read.  Without one, both draws come
+                from the structure's ``random.Random``, as the
+                record-list reads drew them, and none from its numpy
+                generator.
         """
+        gen = rng if rng is not None else self._rng
+        return self._read(k, gen, gen).to_records()
+
+    def sample_batch(self, k: int | None = None, *, rng=None):
+        """The current reservoir, or a uniform ``k``-subset of it, as
+        one :class:`~repro.storage.recordbatch.RecordBatch`.
+
+        At flush boundaries the reservoir is exactly the disk-resident
+        sample; in between, each buffered row displaces a uniform disk
+        row, so a read is a valid size-``min(N, seen)`` sample at any
+        instant.  A uniform-law ``k``-read gathers only its ``k`` rows
+        (see :meth:`~repro.sampling.laws.UniformLaw.read_batch`).
+
+        Args:
+            k: optionally a uniform ``k``-subset, uniformly ordered.
+            rng: a ``numpy.random.Generator`` (or ``random.Random``)
+                for every draw of the read, so a query need not touch
+                the structure's own streams.  Without one, the pending
+                rows' victims come from the structure's
+                ``random.Random`` and the ``k`` positions from its
+                numpy generator (one ``choice(size, k)``), as the
+                record-list reads drew them, so every later admission
+                and flush sees the generator states it always saw.
+        """
+        if rng is None:
+            return self._read(k, self._rng, self._np_rng)
+        return self._read(k, rng, rng)
+
+    def _read(self, k: int | None, victims_rng, positions_rng):
         from .storage.recordbatch import RecordBatch
 
-        schema = getattr(self, "schema", None)
+        self.flush_barrier()
+        schema = self._payload_schema
         if schema is None:
-            raise TypeError(f"{self.name} has no record schema; "
-                            "sample_batch is unavailable")
-        query_rng = (None if rng is None
-                     else random.Random(int(rng.integers(2 ** 63))))
-        batch = RecordBatch.from_records(schema, self.sample(rng=query_rng))
-        return self._thin_batch(batch, k, rng)
+            raise TypeError(f"{self.name} is running in count-only mode")
+        return RecordBatch(schema, self._law.read_batch(
+            self, k, victims_rng, positions_rng))
 
     def snapshot_batch(self, k: int | None = None, *, rng=None):
         """(:meth:`sample_batch` result, stream position) in one call.
@@ -681,15 +701,6 @@ class StreamReservoir(abc.ABC):
         returned ``seen`` count is what merge allocation weighs.
         """
         return self.sample_batch(k, rng=rng), self._seen
-
-    def _thin_batch(self, batch, k: int | None, rng):
-        if k is None:
-            return batch
-        if k > len(batch):
-            raise ValueError(
-                f"cannot draw {k} records from a sample of {len(batch)}")
-        gen = rng if rng is not None else self._np_rng
-        return batch.take(gen.choice(len(batch), size=k, replace=False))
 
     def ingest(self, n: int) -> None:
         """Present ``n`` stream records (count-only fast path)."""
@@ -705,14 +716,6 @@ class StreamReservoir(abc.ABC):
         if admitted:
             self._samples_added += admitted
             self._admit_count(admitted)
-
-    def _admits_current(self) -> bool:
-        """Admission decision for the record at position ``self._seen``.
-
-        Back-compat shim; the law owns the decision now.  Only valid
-        for laws whose admission ignores record content (uniform).
-        """
-        return self._law.admit(self, None)
 
     # -- protected feeder API -----------------------------------------------
     #
@@ -752,39 +755,19 @@ class StreamReservoir(abc.ABC):
         self._admit_many(records)
 
     @staticmethod
-    def apply_pending(disk_records: list[Record], pending: list[Record],
-                      rng: random.Random) -> list[Record]:
-        """Materialise a valid sample mid-flush.
-
-        Each buffered record joined the reservoir by (deferred) evicting
-        one uniformly random *disk-resident* record -- sequential draws
-        without replacement, i.e. a uniform random ``len(pending)``-
-        subset of the disk records dies.  Used by every alternative's
-        ``sample()`` so queries between flushes still see an exact
-        fixed-size random sample.
-        """
-        if not pending:
-            return list(disk_records)
-        if len(pending) > len(disk_records):
-            raise ValueError("more pending records than disk residents")
-        victims = set(rng.sample(range(len(disk_records)), len(pending)))
-        survivors = [record for i, record in enumerate(disk_records)
-                     if i not in victims]
-        return survivors + list(pending)
-
-    @staticmethod
     def apply_pending_batch(disk: np.ndarray, pending: np.ndarray,
                             rng: random.Random | np.random.Generator
                             ) -> np.ndarray:
-        """Vectorised :meth:`apply_pending` over structured row arrays.
+        """Materialise a valid sample mid-flush, over structured rows.
 
-        The victim set is the same uniform without-replacement draw
-        (:func:`draw_distinct`; from a ``random.Random`` exactly
-        :meth:`apply_pending`'s); victims are overwritten *in place* by
-        the pending rows (the same multiset as survivors-plus-pending,
-        one fancy-index write instead of an O(n) rebuild).  ``disk``
-        must be a freshly allocated array the caller owns -- typically
-        the ``np.concatenate`` of ledger slabs.
+        Each buffered row joined the reservoir by (deferred) evicting
+        one uniformly random *disk-resident* row -- sequential draws
+        without replacement, i.e. a uniform random ``len(pending)``-
+        subset of the disk rows dies (:func:`draw_distinct`).  Victims
+        are overwritten *in place* by the pending rows: the multiset
+        survivors-plus-pending, one fancy-index write instead of an
+        O(n) rebuild.  ``disk`` must be a freshly allocated array the
+        caller owns -- typically the ``np.concatenate`` of ledger slabs.
         """
         if len(pending) == 0:
             return disk

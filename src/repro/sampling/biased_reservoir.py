@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..storage.records import Record
-from .weights import WeightFunction, uniform_weight
+from .weights import WeightFunction, check_weight, uniform_weight
 
 #: Fold the scale factor back into stored weights past this magnitude,
 #: long before float64 precision becomes a concern.
@@ -129,14 +129,10 @@ class BiasedReservoir:
         """Present one stream record; returns the evicted record, if any.
 
         Raises:
-            ValueError: if the weight function returns a non-positive
-                value for this record.
+            ValueError: if the weight function returns a value that is
+                not finite and positive for this record.
         """
-        weight = self.weight_fn(record)
-        if weight <= 0:
-            raise ValueError(
-                f"weight function returned {weight!r}; must be positive"
-            )
+        weight = check_weight(self.weight_fn(record))
         self._seen += 1
 
         # -- start-up: the first |R| records enter unconditionally.  Each

@@ -88,6 +88,8 @@ from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record
 from .weights import (
     WeightFunction,
+    check_weight,
+    check_weights,
     exp_jump_keys,
     exponential_recency,
     uniform_weight,
@@ -200,7 +202,7 @@ class SamplingLaw:
     #: paths (feeder skips, AQP hot cache, count-only ingest).
     is_uniform = False
     #: Flush victims are a uniform subset of residents: keep the
-    #: file's Algorithm 3 eviction and ``apply_pending`` queries.
+    #: file's Algorithm 3 eviction and ``apply_pending_batch`` reads.
     uniform_victims = False
     #: float64 aux columns carried per record (0 = none).
     aux_width = 0
@@ -453,25 +455,25 @@ class UniformLaw(SamplingLaw):
             gf._flush()
 
     def place_many(self, gf, records: list) -> None:
-        if gf.buffer.columnar:
-            # A record list reaches a slab buffer encoded once; the
-            # batch path draws exactly what the loop below would.
+        if gf.config.retain_records:
+            # A record list reaches the slab buffer encoded once.
             if any(record is None for record in records):
                 raise ValueError("record-retaining buffer needs the record")
             self.place_batch(gf, RecordBatch.from_records(gf.schema, records))
             return
+        # Count-only: place_batch's draws, with nothing to store.
         i = 0
         n = len(records)
         while i < n:
             if gf.in_startup:
                 target = gf._startup_sizes[gf._startup_index]
                 take = min(n - i, target - gf.buffer.count)
-                gf.buffer.extend(records[i:i + take])
+                gf.buffer.append_count(take)
                 i += take
                 if gf.buffer.count >= target:
                     gf._startup_flush()
             else:
-                i += gf.buffer.absorb_many(records, gf.capacity, start=i)
+                i += gf.buffer.absorb_count(n - i, gf.capacity)
                 if gf.buffer.is_full:
                     gf._flush()
 
@@ -584,19 +586,12 @@ class _WeightedLaw(SamplingLaw):
         self._stash: deque = deque()
 
     def _weight_of(self, record: Record) -> float:
-        weight = float(self.weight_fn(record))
-        if not weight > 0:
-            raise ValueError(
-                f"weight function returned {weight!r}; must be positive")
-        return weight
+        return check_weight(self.weight_fn(record))
 
     def _weights_of(self, records) -> np.ndarray:
         fn = self.weight_fn
-        w = np.fromiter((fn(r) for r in records), dtype=np.float64,
-                        count=len(records))
-        if w.size and not np.all(w > 0):
-            raise ValueError("weight function must be strictly positive")
-        return w
+        return check_weights(np.fromiter(
+            (fn(r) for r in records), dtype=np.float64, count=len(records)))
 
     def place(self, gf, record: Record | None) -> None:
         gf.buffer.append(record, aux=self._stash.popleft())

@@ -29,6 +29,35 @@ from ..storage.records import Record
 WeightFunction = Callable[[Record], float]
 
 
+def check_weight(weight) -> float:
+    """A weight function's result as a float, if it is finite and
+    strictly positive.
+
+    Every biased and weighted structure calls this (or
+    :func:`check_weights`) before its state changes: a NaN weight would
+    turn ``totalWeight`` into NaN and admit every later record, and an
+    infinite one would make ``totalWeight`` infinite and admit none.
+
+    Raises:
+        ValueError: for zero, negative, infinite or NaN weights.
+    """
+    value = float(weight)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"weight function returned {weight!r}; "
+                         "must be finite and positive")
+    return value
+
+
+def check_weights(weights) -> np.ndarray:
+    """:func:`check_weight` over a batch: a float64 vector, if every
+    weight is finite and strictly positive."""
+    values = np.asarray(weights, dtype=np.float64)
+    if values.size and not np.all((values > 0.0) & (values < np.inf)):
+        raise ValueError("weight function must return finite, positive "
+                         "weights")
+    return values
+
+
 def exp_jump_keys(weights, rng: np.random.Generator) -> np.ndarray:
     """Vectorised Efraimidis-Spirakis key draws, in log domain.
 
@@ -54,13 +83,11 @@ def exp_jump_keys(weights, rng: np.random.Generator) -> np.ndarray:
         ``float64`` array of log-keys in ``(-inf, 0]``.
 
     Raises:
-        ValueError: if any weight is not strictly positive.
+        ValueError: if any weight is not finite and strictly positive.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    w = check_weights(weights)
     if w.ndim != 1:
         raise ValueError("weights must be one-dimensional")
-    if w.size and not np.all(w > 0):
-        raise ValueError("weights must be strictly positive")
     # 1 - U maps [0, 1) onto (0, 1]: log never sees an exact zero.
     u = 1.0 - rng.random(w.shape[0])
     return np.log(u) / w

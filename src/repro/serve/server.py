@@ -137,9 +137,8 @@ class ReservoirServer:
         self.engine = engine
         self.config = config or ServerConfig()
         self._clock = clock
-        # offer_batch rows decode straight into the layout of a
-        # record-keeping engine (a biased file decodes that batch for
-        # its weighted path); a count-only one gets record lists.
+        # offer_batch rows decode straight into the slabs of a
+        # record-keeping engine; a count-only one gets record lists.
         engine_config = getattr(engine, "config", None)
         self._schema = (RecordSchema(engine_config.record_size)
                         if getattr(engine_config, "retain_records", False)

@@ -128,14 +128,8 @@ class HashPartitioner(RoundRobinPartitioner):
         return parts
 
     def split_batch(self, batch: RecordBatch) -> list[RecordBatch]:
-        """Columnar :meth:`split`: vectorised key mix, one mask per shard.
-
-        Weighted batches decode to :class:`WeightedRecord` rows, which
-        the list path round-robins (they are not ``Record`` instances),
-        so the columnar path does the same for exact routing parity.
-        """
-        if batch.schema.weighted:
-            return super().split_batch(batch)
+        """Columnar :meth:`split`: vectorised key mix, one mask per
+        shard."""
         assign = mix64_array(batch.keys) % np.uint64(self.shards)
         # No rotation advance: the list path only advances on non-Record
         # (count-only) entries, which a batch never carries.

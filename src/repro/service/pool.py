@@ -45,7 +45,6 @@ from ..storage.recordbatch import RecordBatch
 from ..storage.records import RecordSchema
 from .shm import (
     DEFAULT_RING_BYTES,
-    FLAG_WEIGHTED,
     HAVE_SHM,
     KIND_DATA,
     SlabRing,
@@ -313,10 +312,10 @@ class ProcessPool:
                 and isinstance(message[2], RecordBatch)):
             if message[2].schema == self._schemas[shard_id]:
                 return self._send_slab(shard_id, message)
-            # A batch whose schema is not the shard's declared layout
-            # (weighted rows, different record size) would be misdecoded
-            # by the slab codec on the other side: it rides the pickled
-            # queue instead, where the batch carries its own schema.
+            # A batch whose record size is not the shard's declared
+            # layout would be misdecoded by the slab codec on the other
+            # side: it rides the pickled queue instead, where the batch
+            # carries its own schema.
             self.fallback_slabs += 1
         return self._send_queue(shard_id, message)
 
@@ -364,9 +363,7 @@ class ProcessPool:
             wait.sleep()
         self.send_wait_seconds += wait.waited
         batch.into_shared(view)
-        flags = FLAG_WEIGHTED if batch.schema.weighted else 0
-        ring.commit(KIND_DATA, seq, flags=flags, n_records=len(batch),
-                    n_bytes=n_bytes)
+        ring.commit(KIND_DATA, seq, n_records=len(batch), n_bytes=n_bytes)
         self.zero_copy_bytes += n_bytes
         if self.trace_hook is not None:
             self.trace_hook(direction="ingest", shard=shard_id,
@@ -402,9 +399,6 @@ class ProcessPool:
             wait.sleep()
         self.recv_wait_seconds += wait.waited
         schema = self._schemas[shard_id]
-        if slab.weighted is not schema.weighted:  # pragma: no cover
-            ring.pop_done(slab)
-            raise ShardDead(shard_id, "reply slab schema mismatch")
         batch = RecordBatch.from_shared(schema, slab.view,
                                         slab.n_records).copy()
         n_bytes = slab.n_bytes

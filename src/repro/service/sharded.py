@@ -250,14 +250,11 @@ class ShardedReservoir:
             if records.schema != self._schema:
                 # Rejected up front, before the journal sees it: a
                 # journaled batch the shards cannot apply would be
-                # replayed forever by crash recovery.  (Weighted input
-                # is unsupported service-wide -- weighted shard laws
-                # derive weights from record fields via law_params.)
+                # replayed forever by crash recovery.
                 raise ValueError(
-                    f"batch schema {records.schema.record_size} B"
-                    f"{' weighted' if records.schema.weighted else ''} "
-                    f"does not match the service's record layout "
-                    f"({self.config.record_size} B, unweighted)")
+                    f"batch schema {records.schema.record_size} B does "
+                    f"not match the service's record layout "
+                    f"({self.config.record_size} B)")
             if self._hot is not None:
                 self._hot.observe_batch(records)
             if self._pool.supports_batches:

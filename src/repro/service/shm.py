@@ -66,9 +66,6 @@ SLAB_STAMP = 0xA5A5_5A5A_C0FF_EE00
 KIND_DATA = 1
 KIND_PAD = 2
 
-#: Frame flags.
-FLAG_WEIGHTED = 1  # payload rows follow the weighted record dtype
-
 #: ``<`` magic(u32) kind(u16) flags(u16) seq(u64) n_records(u32)
 #: n_bytes(u32) checksum(u32) reserved(u32) -- exactly 32 bytes.
 _HEADER = struct.Struct("<IHHQIIII")
@@ -181,10 +178,6 @@ class Slab:
     @property
     def n_bytes(self) -> int:
         return len(self.view)
-
-    @property
-    def weighted(self) -> bool:
-        return bool(self.flags & FLAG_WEIGHTED)
 
 
 class SlabRing:

@@ -207,17 +207,16 @@ def _pop_batch_slab(ring, schema, seq: int, n_records: int) -> RecordBatch:
         raise TornSlabError(
             f"slab stream out of step: stub ({seq}, {n_records}) vs "
             f"frame ({slab.seq}, {slab.n_records})")
-    weighted, n_bytes = slab.weighted, slab.n_bytes
-    if (weighted != schema.weighted
-            or n_bytes != n_records * schema.record_size):
-        # Mirror of the supervisor's reply-side guard: a frame whose
-        # flags or size disagree with the shard's declared schema must
-        # never be decoded (every field would shift), only rejected.
+    n_bytes = slab.n_bytes
+    if n_bytes != n_records * schema.record_size:
+        # A frame whose size disagrees with the shard's declared record
+        # size must never be decoded (every field would shift), only
+        # rejected.
         ring.pop_done(slab)
         raise TornSlabError(
             f"batch slab at seq {seq} does not match the shard schema "
-            f"(weighted={weighted}, {n_bytes} B for "
-            f"{n_records} x {schema.record_size} B records)")
+            f"({n_bytes} B for {n_records} x {schema.record_size} B "
+            "records)")
     batch = RecordBatch.from_shared(schema, slab.view, n_records).copy()
     ring.pop_done(slab)
     return batch

@@ -20,7 +20,6 @@ from .records import (
     MIN_RECORD_SIZE,
     Record,
     RecordSchema,
-    WeightedRecord,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "RecordBatch",
     "RecordSchema",
     "SimulatedBlockDevice",
-    "WeightedRecord",
 ]
 
 from .striping import StripedBlockDevice  # noqa: E402

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .records import Record, RecordSchema, WeightedRecord
+from .records import Record, RecordSchema
 
 
 class RecordBatch:
@@ -81,24 +81,19 @@ class RecordBatch:
 
     @classmethod
     def from_records(cls, schema: RecordSchema,
-                     records: Sequence[Record],
-                     weights: Sequence[float] | None = None
-                     ) -> "RecordBatch":
+                     records: Sequence[Record]) -> "RecordBatch":
         """Build a writable batch through the scalar codec.
 
         Round-tripping through :meth:`RecordSchema.encode_batch` makes
         byte-identity with the scalar path true by construction.
         """
-        data = schema.encode_batch(list(records),
-                                   list(weights) if weights is not None
-                                   else None)
+        data = schema.encode_batch(list(records))
         array = np.frombuffer(data, dtype=schema.dtype).copy()
         return cls(schema, array)
 
     @classmethod
     def from_columns(cls, schema: RecordSchema, keys,
-                     values=None, timestamps=None,
-                     weights=None) -> "RecordBatch":
+                     values=None, timestamps=None) -> "RecordBatch":
         """Assemble a batch from per-column vectors (payloads zeroed)."""
         keys = np.asarray(keys, dtype=np.int64)
         n = len(keys)
@@ -108,11 +103,6 @@ class RecordBatch:
             array["value"] = np.asarray(values, dtype=np.float64)
         if timestamps is not None:
             array["timestamp"] = np.asarray(timestamps, dtype=np.float64)
-        if schema.weighted:
-            array["weight"] = (np.asarray(weights, dtype=np.float64)
-                               if weights is not None else 1.0)
-        elif weights is not None:
-            raise ValueError("schema is unweighted; cannot store weights")
         return cls(schema, array)
 
     @classmethod
@@ -187,19 +177,13 @@ class RecordBatch:
     def timestamps(self) -> np.ndarray:
         return self._array["timestamp"]
 
-    @property
-    def weights(self) -> np.ndarray:
-        if not self.schema.weighted:
-            raise TypeError("schema is unweighted; batch holds no weights")
-        return self._array["weight"]
-
     # -- whole-batch codec ------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """One-call encode; byte-identical to the scalar codec."""
         return self.schema.encode_many(self._array)
 
-    def to_records(self) -> list[Record] | list[WeightedRecord]:
+    def to_records(self) -> list[Record]:
         """Decode every row into record objects, as iteration does.
 
         One ``tolist()`` per column converts the numbers in C, so the
@@ -211,14 +195,10 @@ class RecordBatch:
             payloads = [p.rstrip(b"\x00") for p in array["payload"].tolist()]
         else:
             payloads = [b""] * len(array)
-        records = [Record(key, value, timestamp, payload)
-                   for key, value, timestamp, payload in zip(
-                       array["key"].tolist(), array["value"].tolist(),
-                       array["timestamp"].tolist(), payloads)]
-        if self.schema.weighted:
-            return [WeightedRecord(record, weight) for record, weight
-                    in zip(records, array["weight"].tolist())]
-        return records
+        return [Record(key, value, timestamp, payload)
+                for key, value, timestamp, payload in zip(
+                    array["key"].tolist(), array["value"].tolist(),
+                    array["timestamp"].tolist(), payloads)]
 
     # -- copies and rearrangements ---------------------------------------
 
@@ -243,25 +223,22 @@ class RecordBatch:
     def __bool__(self) -> bool:
         return len(self._array) > 0
 
-    def _decode_row(self, row) -> Record | WeightedRecord:
+    def _decode_row(self, row) -> Record:
         payload = b""
         if "payload" in (self._array.dtype.names or ()):
             payload = bytes(row["payload"]).rstrip(b"\x00")
-        record = Record(key=int(row["key"]), value=float(row["value"]),
-                        timestamp=float(row["timestamp"]), payload=payload)
-        if self.schema.weighted:
-            return WeightedRecord(record=record, weight=float(row["weight"]))
-        return record
+        return Record(key=int(row["key"]), value=float(row["value"]),
+                      timestamp=float(row["timestamp"]), payload=payload)
 
-    def __iter__(self) -> Iterator[Record | WeightedRecord]:
+    def __iter__(self) -> Iterator[Record]:
         decode = self._decode_row
         for row in self._array:
             yield decode(row)
 
-    def _encode_row(self, record: Record, weight: float | None = None):
+    def _encode_row(self, record: Record):
         # One scalar-codec pack; numpy unpacks the slot bytes into the
         # row, so row writes share the codec's pad/truncate contract.
-        return np.frombuffer(self.schema.encode(record, weight),
+        return np.frombuffer(self.schema.encode(record),
                              dtype=self.schema.dtype)[0]
 
     def __getitem__(self, index):
@@ -273,10 +250,6 @@ class RecordBatch:
         if isinstance(index, slice):
             source = value._array if isinstance(value, RecordBatch) else value
             self._array[index] = source
-            return
-        if isinstance(value, WeightedRecord):
-            self._array[int(index)] = self._encode_row(value.record,
-                                                       value.weight)
             return
         self._array[int(index)] = self._encode_row(value)
 
@@ -307,8 +280,7 @@ class RecordBatch:
 
     def __repr__(self) -> str:
         return (f"RecordBatch({len(self._array)} x "
-                f"{self.schema.record_size} B"
-                f"{', weighted' if self.schema.weighted else ''})")
+                f"{self.schema.record_size} B)")
 
 
 def pinned_bytes(array: np.ndarray) -> int:

@@ -14,8 +14,8 @@ record size is the knob benchmarks turn between Experiments 1 and 2.
 Two encodings of the same byte layout coexist:
 
 * the scalar codec (:meth:`RecordSchema.encode` / ``decode``), one
-  compiled :class:`struct.Struct` call per record, cached per
-  ``(record_size, weighted)`` pair;
+  compiled :class:`struct.Struct` call per record, cached per record
+  size;
 * the columnar codec (:meth:`RecordSchema.encode_many` /
   ``decode_many``), one ``tobytes`` / ``np.frombuffer`` per *segment*
   over the packed structured :attr:`RecordSchema.dtype`.
@@ -39,33 +39,27 @@ _HEADER = struct.Struct("<qdd")
 #: Smallest representable record: just the three header fields.
 MIN_RECORD_SIZE = _HEADER.size
 
-# weight (float64) prepended for weighted records
-_WEIGHT = struct.Struct("<d")
 #: The range of the header's signed 64-bit key field.
 _KEY_MIN, _KEY_MAX = -(1 << 63), (1 << 63) - 1
 
 
 @lru_cache(maxsize=None)
-def _full_struct(record_size: int, weighted: bool) -> struct.Struct:
+def _full_struct(record_size: int) -> struct.Struct:
     """One compiled codec for a whole record slot.
 
     The ``{pad}s`` tail both zero-pads short payloads and truncates
     long ones -- exactly the scalar ``encode`` contract -- so one
     ``pack`` call replaces the head/body/padding concatenation.
     """
-    head = ("<d" if weighted else "<") + "qdd"
-    pad = record_size - MIN_RECORD_SIZE - (_WEIGHT.size if weighted else 0)
-    return struct.Struct(head + (f"{pad}s" if pad else ""))
+    pad = record_size - MIN_RECORD_SIZE
+    return struct.Struct("<qdd" + (f"{pad}s" if pad else ""))
 
 
 @lru_cache(maxsize=None)
-def _batch_dtype(record_size: int, weighted: bool) -> np.dtype:
+def _batch_dtype(record_size: int) -> np.dtype:
     """Packed structured dtype matching the scalar codec byte-for-byte."""
-    fields: list[tuple[str, str]] = []
-    if weighted:
-        fields.append(("weight", "<f8"))
-    fields += [("key", "<i8"), ("value", "<f8"), ("timestamp", "<f8")]
-    pad = record_size - MIN_RECORD_SIZE - (_WEIGHT.size if weighted else 0)
+    fields = [("key", "<i8"), ("value", "<f8"), ("timestamp", "<f8")]
+    pad = record_size - MIN_RECORD_SIZE
     if pad:
         fields.append(("payload", f"V{pad}"))
     dtype = np.dtype(fields)
@@ -94,65 +88,47 @@ class Record:
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
-class WeightedRecord:
-    """A record plus its *effective weight* (paper Section 7.3.1).
-
-    The geometric file stores ``record.weight`` on disk next to the
-    record; the per-subsample multiplier lives in memory.  The true
-    weight of the record is ``multiplier * weight`` (Definition 2).
-    """
-
-    record: Record
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("weights must be non-negative")
-
-
 class RecordSchema:
     """A fixed record size plus derived layout numbers.
 
+    A per-record float a structure keeps beside a record (Section
+    7.3.1's effective weight, a sampling law's key) lives in the
+    structure's aux columns, not in the record slot.
+
     Args:
         record_size: bytes per record on disk (>= MIN_RECORD_SIZE).
-        weighted: reserve 8 extra header bytes for the effective weight.
     """
 
-    def __init__(self, record_size: int, *, weighted: bool = False) -> None:
-        minimum = MIN_RECORD_SIZE + (_WEIGHT.size if weighted else 0)
-        if record_size < minimum:
+    def __init__(self, record_size: int) -> None:
+        if record_size < MIN_RECORD_SIZE:
             raise ValueError(
-                f"record_size {record_size} below minimum {minimum}"
+                f"record_size {record_size} below minimum {MIN_RECORD_SIZE}"
             )
         self.record_size = record_size
-        self.weighted = weighted
-        self._codec = _full_struct(record_size, weighted)
-        self._padded = record_size > minimum
+        self._codec = _full_struct(record_size)
+        self._padded = record_size > MIN_RECORD_SIZE
 
     def __reduce__(self):
         # The cached struct.Struct codec is unpicklable; rebuild from
-        # the two defining parameters instead (cache makes it cheap).
-        return _rebuild_schema, (self.record_size, self.weighted)
+        # the defining parameter instead (cache makes it cheap).
+        return RecordSchema, (self.record_size,)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RecordSchema)
-                and self.record_size == other.record_size
-                and self.weighted == other.weighted)
+                and self.record_size == other.record_size)
 
     def __hash__(self) -> int:
-        return hash((self.record_size, self.weighted))
+        return hash(self.record_size)
 
     @property
     def dtype(self) -> np.dtype:
         """Packed numpy structured dtype of one record slot.
 
         Field order and widths mirror the scalar codec exactly
-        (``weight?``, ``key``, ``value``, ``timestamp``, ``payload``
-        padding), so ``np.frombuffer(encoded, schema.dtype)`` is a
+        (``key``, ``value``, ``timestamp``, ``payload`` padding), so ``np.frombuffer(encoded, schema.dtype)`` is a
         zero-copy decode of anything :meth:`encode` produced.
         """
-        return _batch_dtype(self.record_size, self.weighted)
+        return _batch_dtype(self.record_size)
 
     def check_payloads(self, records) -> None:
         """Raise ``ValueError`` for the first record a slot cannot hold
@@ -166,8 +142,7 @@ class RecordSchema:
         one leaves no half-counted offer behind.  Entries without a
         payload (count-only ``None``) are skipped.
         """
-        width = (self.record_size - MIN_RECORD_SIZE
-                 - (_WEIGHT.size if self.weighted else 0))
+        width = self.record_size - MIN_RECORD_SIZE
         for record in records:
             payload = getattr(record, "payload", None)
             if payload is None:
@@ -201,72 +176,34 @@ class RecordSchema:
 
     # -- encoding ---------------------------------------------------------
 
-    def encode(self, record: Record, weight: float | None = None) -> bytes:
+    def encode(self, record: Record) -> bytes:
         """Pack one record into exactly ``record_size`` bytes."""
-        if self.weighted:
-            w = 1.0 if weight is None else weight
-            if self._padded:
-                return self._codec.pack(w, record.key, record.value,
-                                        record.timestamp, record.payload)
-            return self._codec.pack(w, record.key, record.value,
-                                    record.timestamp)
-        if weight is not None:
-            raise ValueError("schema is unweighted; cannot store a weight")
         if self._padded:
             return self._codec.pack(record.key, record.value,
                                     record.timestamp, record.payload)
         return self._codec.pack(record.key, record.value, record.timestamp)
 
-    def decode(self, data: bytes) -> Record | WeightedRecord:
-        """Unpack one record slot.
-
-        Returns a :class:`WeightedRecord` for weighted schemas, a plain
-        :class:`Record` otherwise.  Padding bytes are dropped.
-        """
+    def decode(self, data: bytes) -> Record:
+        """Unpack one record slot; padding bytes are dropped."""
         if len(data) != self.record_size:
             raise ValueError(
                 f"expected {self.record_size} bytes, got {len(data)}"
             )
-        offset = 0
-        weight = None
-        if self.weighted:
-            (weight,) = _WEIGHT.unpack_from(data, 0)
-            offset = _WEIGHT.size
-        key, value, timestamp = _HEADER.unpack_from(data, offset)
-        payload = data[offset + _HEADER.size:].rstrip(b"\x00")
-        record = Record(key=key, value=value, timestamp=timestamp,
-                        payload=payload)
-        if self.weighted:
-            return WeightedRecord(record=record, weight=weight)
-        return record
+        key, value, timestamp = _HEADER.unpack_from(data, 0)
+        payload = data[_HEADER.size:].rstrip(b"\x00")
+        return Record(key=key, value=value, timestamp=timestamp,
+                      payload=payload)
 
-    def encode_batch(self, records: list[Record],
-                     weights: list[float] | None = None) -> bytes:
+    def encode_batch(self, records: list[Record]) -> bytes:
         """Pack a list of records back-to-back.
 
         One preallocated output buffer and one compiled ``pack_into``
         per record -- no per-record bytes objects or generator join.
         """
-        if weights is not None:
-            if not self.weighted:
-                raise ValueError(
-                    "schema is unweighted; cannot store a weight")
-            if len(weights) != len(records):
-                raise ValueError("weights must match records one-to-one")
         size = self.record_size
         out = bytearray(len(records) * size)
         pack_into = self._codec.pack_into
-        if self.weighted:
-            if weights is None:
-                weights = (1.0,) * len(records)
-            if self._padded:
-                for i, (r, w) in enumerate(zip(records, weights)):
-                    pack_into(out, i * size, w, r.key, r.value,
-                              r.timestamp, r.payload)
-            else:
-                for i, (r, w) in enumerate(zip(records, weights)):
-                    pack_into(out, i * size, w, r.key, r.value, r.timestamp)
-        elif self._padded:
+        if self._padded:
             for i, r in enumerate(records):
                 pack_into(out, i * size, r.key, r.value, r.timestamp,
                           r.payload)
@@ -310,8 +247,3 @@ RecordBatch` viewing ``data`` directly (copy it before mutating).
         from .recordbatch import RecordBatch
 
         return RecordBatch.from_bytes(self, data, n_records)
-
-
-def _rebuild_schema(record_size: int, weighted: bool) -> RecordSchema:
-    """Pickle target for :class:`RecordSchema` (weighted is kw-only)."""
-    return RecordSchema(record_size, weighted=weighted)

@@ -1,6 +1,6 @@
 """Equivalence tests for the batch-ingestion pipeline.
 
-The batch paths (``offer_many``, ``SampleBuffer.absorb_many``,
+The batch paths (``offer_many``, ``SampleBuffer.absorb_batch``,
 ``gaps_z``, batched ``feed_stream``) draw their randomness from a numpy
 generator while the scalar paths use ``random.Random``, so bit-exact
 agreement is impossible; what *is* provable -- and asserted here with
@@ -29,6 +29,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from conftest import keyed_records, make_geometric_file, make_multi_file
+from repro.baselines import DiskReservoirConfig, ScanReservoir
 from repro.core.buffer import SampleBuffer
 from repro.reservoir import (
     StreamReservoir,
@@ -37,6 +38,9 @@ from repro.reservoir import (
     draw_victim_counts_array,
 )
 from repro.sampling import feed_stream, gaps_z, skip_count_x
+from repro.storage.device import MemoryBlockDevice
+from repro.storage.recordbatch import RecordBatch
+from repro.storage.records import RecordSchema
 
 #: Significance floor for the chi-square / KS assertions.  Fixed seeds
 #: make the tests deterministic, so this is a one-time check that the
@@ -127,14 +131,21 @@ class TestOfferMany:
         assert scipy_stats.ks_2samp(batch, scalar).pvalue > P_MIN
 
 
+SCHEMA = RecordSchema(40)
+
+
 class TestAbsorbMany:
+    """``absorb_batch`` (the slab buffer's vectorised Algorithm 2)
+    against a loop of ``add_admitted``."""
+
     def _final_keys(self, batched: bool, seed: int, reservoir_size=500,
                     capacity=40, stream=120):
         rng = random.Random(seed)
-        buffer = SampleBuffer(capacity, rng)
+        buffer = SampleBuffer(capacity, rng, schema=SCHEMA)
         records = keyed_records(stream)
         if batched:
-            consumed = buffer.absorb_many(records, reservoir_size)
+            consumed = buffer.absorb_batch(
+                RecordBatch.from_records(SCHEMA, records), reservoir_size)
         else:
             consumed = 0
             while consumed < stream and not buffer.is_full:
@@ -174,33 +185,54 @@ class TestAbsorbMany:
         assert scipy_stats.ks_2samp(batch, scalar).pvalue > P_MIN
 
     def test_full_buffer_raises(self):
-        buffer = SampleBuffer(4, random.Random(0), retain_records=False)
+        buffer = SampleBuffer(4, random.Random(0))
         buffer.append_count(4)
         with pytest.raises(ValueError):
-            buffer.absorb_many([None] * 3, 100)
+            buffer.absorb_count(3, 100)
+        slabs = SampleBuffer(2, random.Random(0), schema=SCHEMA)
+        batch = RecordBatch.from_records(SCHEMA, keyed_records(3))
+        slabs.extend_batch(batch[:2])
+        with pytest.raises(ValueError):
+            slabs.absorb_batch(batch, 100)
 
     def test_weighted_buffer_rejects_batch(self):
-        buffer = SampleBuffer(8, random.Random(0))
-        buffer.append(keyed_records(1)[0], weight=2.0)
+        """A buffer carrying a weight per record (an aux column) admits
+        per record, so each replacement can write the weight too."""
+        buffer = SampleBuffer(8, random.Random(0), schema=SCHEMA,
+                              aux_width=1)
+        buffer.append(keyed_records(1)[0], aux=(2.0,))
+        batch = RecordBatch.from_records(SCHEMA, keyed_records(3))
         with pytest.raises(TypeError):
-            buffer.absorb_many(keyed_records(3), 100)
+            buffer.absorb_batch(batch, 100)
+        with pytest.raises(TypeError):
+            buffer.extend_batch(batch)
 
     def test_extend_overfill_raises(self):
-        buffer = SampleBuffer(4, random.Random(0))
+        buffer = SampleBuffer(4, random.Random(0), schema=SCHEMA)
         with pytest.raises(ValueError):
-            buffer.extend(keyed_records(5))
+            buffer.extend_batch(
+                RecordBatch.from_records(SCHEMA, keyed_records(5)))
 
     def test_retaining_extend_rejects_none(self):
-        """extend must match append's None check in retaining mode."""
-        buffer = SampleBuffer(4, random.Random(0))
-        with pytest.raises(ValueError, match="needs the record"):
-            buffer.extend([keyed_records(1)[0], None])
+        """A record list reaching a slab buffer is encoded once at the
+        edge, and a ``None`` entry is refused there, as ``append``
+        refuses it -- during start-up and in steady state alike."""
+        for n in (10, 500):
+            gf = make_geometric_file(capacity=200, buffer_capacity=20,
+                                     admission="always")
+            gf.offer_many(keyed_records(n))
+            with pytest.raises(ValueError, match="needs the record"):
+                gf.offer_many([keyed_records(1)[0], None])
 
     def test_retaining_absorb_rejects_none(self):
-        """absorb_many must match add_admitted's None check."""
-        buffer = SampleBuffer(8, random.Random(0))
+        """The baselines' batch path matches ``add_admitted``'s None
+        check too."""
+        config = DiskReservoirConfig(capacity=50, buffer_capacity=10,
+                                     record_size=40, retain_records=True)
+        scan = ScanReservoir(MemoryBlockDevice(64, 4096), config)
+        scan.offer_many(keyed_records(60))
         with pytest.raises(ValueError, match="needs the record"):
-            buffer.absorb_many(keyed_records(3) + [None], 100)
+            scan.offer_many(keyed_records(3) + [None])
 
 
 class TestGapsZ:

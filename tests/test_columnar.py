@@ -5,13 +5,12 @@ The engine's contract has two halves, and this module pins both:
 * **byte identity** -- the structured-array codec
   (``encode_many`` / ``decode_many`` / :class:`RecordBatch`) produces
   and consumes exactly the bytes the scalar ``struct`` codec does, for
-  every record size, weighted or not (hypothesis property tests);
+  every record size (hypothesis property tests);
 * **engine identity** -- over the same stream with the same seed, a
-  geometric file or multi-file structure fed record lists
+  geometric file, multi-file structure or baseline fed record lists
   (``offer_many``) and its twin fed slabs (``offer_batch``) charge
-  bit-exact simulated I/O and hold the *same sample*; each baseline's
-  ``columnar=True`` twin does the same against its record-list twin.
-  Both hold on every device kind (cost-only, byte-storing, in-memory).
+  bit-exact simulated I/O and hold the *same sample*, on every device
+  kind (cost-only, byte-storing, in-memory).
 
 Statistical acceptance (chi-square membership, KS on estimator
 outputs) and the query-side surfaces (``sample_batch`` /
@@ -53,12 +52,7 @@ from repro.estimate.aqp import BatchQuery, SampleQuery
 from repro.service import ShardedReservoir
 from repro.storage.device import MemoryBlockDevice, SimulatedBlockDevice
 from repro.storage.recordbatch import RecordBatch
-from repro.storage.records import (
-    MIN_RECORD_SIZE,
-    Record,
-    RecordSchema,
-    WeightedRecord,
-)
+from repro.storage.records import MIN_RECORD_SIZE, Record, RecordSchema
 from test_batch_ingest import P_MIN, chi_square_p
 
 # -- helpers -----------------------------------------------------------------
@@ -144,22 +138,6 @@ class TestCodecByteIdentity:
             schema.decode_batch(data, len(records))
         assert batch.to_records() == schema.decode_batch(data, len(records))
 
-    @given(record_size=st.integers(MIN_RECORD_SIZE + 8, 96),
-           records=record_lists(),
-           weight_seed=st.integers(0, 2 ** 31))
-    @settings(max_examples=40, deadline=None)
-    def test_weighted_round_trip(self, record_size, records, weight_seed):
-        schema = RecordSchema(record_size, weighted=True)
-        weights = [random.Random(weight_seed + i).uniform(0.0, 10.0)
-                   for i in range(len(records))]
-        data = schema.encode_batch(records, weights)
-        batch = RecordBatch.from_bytes(schema, data)
-        assert batch.to_bytes() == data
-        decoded = list(schema.decode_many(data))
-        assert decoded == schema.decode_batch(data, len(records))
-        assert batch.to_records() == decoded
-        assert all(isinstance(r, WeightedRecord) for r in decoded)
-
     @given(records=record_lists())
     @settings(max_examples=40, deadline=None)
     def test_min_record_size_drops_payloads(self, records):
@@ -220,28 +198,29 @@ class TestRecordBatchSurface:
 
 class TestBufferParity:
     def test_columnar_buffer_matches_object_buffer(self):
-        """Same seed, same stream: identical drains either way."""
+        """A slab drain is the record-list buffer's drain: the rows in
+        staged order, shuffled by ``random.Random.shuffle`` from the
+        same generator state, fill after fill."""
         schema = RecordSchema(40)
-        records = keyed_records(400)
-        batch = stream_batch(schema, records)
-        scalar = SampleBuffer(50, random.Random(7))
-        columnar = SampleBuffer(50, random.Random(7), schema=schema)
-        scalar.extend(records[:50])
-        columnar.extend_batch(batch[:50])
-        drained_s, _, count_s = scalar.drain()
-        drained_c, _, count_c = columnar.drain()
-        assert count_s == count_c == 50
-        assert [r.key for r in drained_s] == drained_c.keys.tolist()
-        i = j = 50
-        while i < len(records):
-            i += scalar.absorb_many(records, 2000, start=i)
-            j += columnar.absorb_batch(batch, 2000, start=j)
-            assert i == j
-            if scalar.is_full:
-                drained_s, _, _ = scalar.drain()
-                drained_c, _, _ = columnar.drain()
-                assert [r.key for r in drained_s] == \
-                    drained_c.keys.tolist()
+        batch = stream_batch(schema, keyed_records(400))
+        rng = random.Random(7)
+        buffer = SampleBuffer(50, rng, schema=schema)
+        buffer.extend_batch(batch[:50])
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        expected = list(range(50))
+        twin.shuffle(expected)
+        drained, count = buffer.drain()
+        assert count == 50 and drained.keys.tolist() == expected
+        i = 50
+        while i < len(batch):
+            i += buffer.absorb_batch(batch, 2000, start=i)
+            if buffer.is_full:
+                staged = buffer.pending_view()["key"].tolist()
+                twin.setstate(rng.getstate())
+                twin.shuffle(staged)
+                drained, _ = buffer.drain()
+                assert drained.keys.tolist() == staged
 
     def test_pending_view_sees_live_rows(self):
         schema = RecordSchema(40)
@@ -286,19 +265,14 @@ class TestEngineIdentity:
     @pytest.mark.parametrize("kind", DEVICE_KINDS)
     @pytest.mark.parametrize("cls", BASELINES)
     def test_baseline_twins(self, cls, kind):
-        scalar, columnar = [
-            self._make_baseline(cls, kind, columnar=flag)
-            for flag in (False, True)
-        ]
-        records = keyed_records(1500)
-        for r in records:
-            scalar.offer(r)
-            columnar.offer(r)
-        assert_twins_identical(scalar, columnar)
+        lists, slabs = (self._make_baseline(cls, kind),
+                        self._make_baseline(cls, kind))
+        drive_twins(lists, slabs, keyed_records(1500))
+        assert_twins_identical(lists, slabs)
 
     @pytest.mark.parametrize("cls", BASELINES)
     def test_baseline_offer_batch_fills_sample(self, cls):
-        columnar = self._make_baseline(cls, "sim", columnar=True)
+        columnar = self._make_baseline(cls, "sim")
         schema = RecordSchema(columnar.config.record_size)
         batch = stream_batch(schema, keyed_records(1500))
         for start in range(0, 1500, 128):
@@ -327,11 +301,10 @@ class TestEngineIdentity:
         return MultipleGeometricFiles(make_device(kind, blocks), config,
                                       seed=5)
 
-    def _make_baseline(self, cls, kind, *, columnar):
+    def _make_baseline(self, cls, kind):
         config = DiskReservoirConfig(
             capacity=600, buffer_capacity=60, record_size=40,
             pool_blocks=4, retain_records=True, admission="uniform",
-            columnar=columnar,
         )
         blocks = cls.required_blocks(config, TEST_BLOCK)
         return cls(make_device(kind, blocks), config, seed=5)
@@ -465,20 +438,27 @@ class TestZoneMapBatch:
         assert sorted(got.keys.tolist()) == want
         assert batch_stats == iter_stats
 
-    def test_query_batch_requires_columnar_file(self):
-        """The biased file keeps record lists (weights ride beside
-        them), so its zone map answers only the record iterator."""
+    def test_query_batch_on_biased_file(self):
+        """A biased file keeps its records in slabs too (weights ride an
+        aux column), so its zone map answers the batch query, with the
+        record iterator's matches and pruning statistics."""
         config = GeometricFileConfig(capacity=200, buffer_capacity=20,
                                      record_size=40, beta_records=4,
                                      retain_records=True)
         blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
         gf = BiasedGeometricFile(
-            SimulatedBlockDevice(blocks, small_disk_params()), config)
-        for r in keyed_records(300):
+            SimulatedBlockDevice(blocks, small_disk_params()), config,
+            lambda record: 1.0 + record.key / 100.0)
+        for r in value_records(600):
             gf.offer(r)
-        index = ZoneMapIndex(gf, field="value")
-        with pytest.raises(TypeError):
-            index.query_batch(0.0, 10.0)
+        index = ZoneMapIndex(gf, field="timestamp")
+        low, high = 450.0, 560.0
+        want = sorted(r.key for r in index.query(low, high))
+        iter_stats = index.stats()
+        got = index.query_batch(low, high)
+        assert want and sorted(got.keys.tolist()) == want
+        assert index.stats() == iter_stats
+        assert iter_stats.subsamples_scanned < iter_stats.subsamples_total
 
 
 # -- checkpoint round trip ---------------------------------------------------

@@ -15,7 +15,7 @@ from repro.storage.device import (
     read_discard,
     write_zeros,
 )
-from repro.storage.records import Record
+from repro.storage.records import Record, RecordSchema
 
 
 class TestDeviceHelpersOnByteBackedDevices:
@@ -66,13 +66,13 @@ class TestReportFormatting:
 
 class TestBufferEdges:
     def test_drain_empty_buffer(self):
-        buf = SampleBuffer(5, random.Random(0))
-        records, weights, count = buf.drain()
-        assert records == [] and weights is None and count == 0
+        buf = SampleBuffer(5, random.Random(0), schema=RecordSchema(40))
+        records, count = buf.drain()
+        assert len(records) == 0 and buf.take_aux() is None and count == 0
 
     def test_count_only_drain_empty(self):
-        buf = SampleBuffer(5, random.Random(0), retain_records=False)
-        records, weights, count = buf.drain()
+        buf = SampleBuffer(5, random.Random(0))
+        records, count = buf.drain()
         assert records is None and count == 0
 
 

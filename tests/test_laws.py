@@ -54,7 +54,7 @@ from repro.sampling.weights import (
 )
 from repro.storage.device import MemoryBlockDevice, SimulatedBlockDevice
 from repro.storage.recordbatch import RecordBatch
-from repro.storage.records import Record
+from repro.storage.records import Record, RecordSchema
 from test_batch_ingest import P_MIN, chi_square_p
 
 pytestmark = pytest.mark.laws
@@ -797,10 +797,12 @@ class TestExpJumpKeys:
 
 # -- aux-column machinery -----------------------------------------------------
 
+SCHEMA = RecordSchema(40)
+
 
 class TestBufferAux:
     def _buffer(self, capacity=10, aux_width=1):
-        return SampleBuffer(capacity, random.Random(0),
+        return SampleBuffer(capacity, random.Random(0), schema=SCHEMA,
                             aux_width=aux_width)
 
     def test_append_requires_matching_aux(self):
@@ -808,31 +810,35 @@ class TestBufferAux:
         record = Record(key=0, value=1.0, timestamp=0.0)
         with pytest.raises(TypeError):
             buffer.append(record)  # aux-carrying buffer, no aux row
-        plain = SampleBuffer(4, random.Random(0))
+        plain = SampleBuffer(4, random.Random(0), schema=SCHEMA)
         with pytest.raises(TypeError):
             plain.append(record, aux=(1.0,))  # aux row, no aux buffer
 
     def test_aux_requires_retention(self):
         with pytest.raises(ValueError, match="retention"):
-            SampleBuffer(4, random.Random(0), retain_records=False,
-                         aux_width=1)
+            SampleBuffer(4, random.Random(0), aux_width=1)
 
     def test_uniform_verbs_refuse_aux_buffers(self):
+        """The uniform law's verbs carry no aux rows: an aux-carrying
+        buffer refuses them (a replacement that carries its aux row is
+        the biased files' verb)."""
         buffer = self._buffer()
         record = Record(key=0, value=1.0, timestamp=0.0)
+        batch = RecordBatch.from_records(SCHEMA, [record])
         with pytest.raises(TypeError):
             buffer.add_admitted(record, 100)
         with pytest.raises(TypeError):
-            buffer.absorb_many([record], 100)
+            buffer.absorb_batch(batch, 100)
         with pytest.raises(TypeError):
-            buffer.extend([record])
+            buffer.extend_batch(batch)
+        assert buffer.count == 0
 
     def test_drain_permutes_aux_with_records(self):
         buffer = self._buffer(capacity=8)
         for i in range(8):
             buffer.append(Record(key=i, value=0.0, timestamp=0.0),
                           aux=(float(i) * 10.0,))
-        records, _, count = buffer.drain()
+        records, count = buffer.drain()
         aux = buffer.take_aux()
         assert count == 8
         assert aux.shape == (8, 1)
@@ -848,15 +854,15 @@ class TestBufferAux:
             buffer.take_aux()
 
     def test_take_aux_none_for_plain_buffers(self):
-        plain = SampleBuffer(4, random.Random(0))
-        plain.extend([Record(key=0, value=0.0, timestamp=0.0)])
+        plain = SampleBuffer(4, random.Random(0), schema=SCHEMA)
+        plain.append(Record(key=0, value=0.0, timestamp=0.0))
         plain.drain()
         assert plain.take_aux() is None
 
     def test_replace_swaps_record_keeps_capacity(self):
-        plain = SampleBuffer(4, random.Random(0))
-        plain.extend([Record(key=i, value=0.0, timestamp=0.0)
-                      for i in range(3)])
+        plain = SampleBuffer(4, random.Random(0), schema=SCHEMA)
+        for i in range(3):
+            plain.append(Record(key=i, value=0.0, timestamp=0.0))
         plain.replace(1, Record(key=99, value=0.0, timestamp=0.0))
         assert [r.key for r in plain] == [0, 99, 2]
         with pytest.raises(IndexError):

@@ -6,7 +6,6 @@ from repro.storage.records import (
     MIN_RECORD_SIZE,
     Record,
     RecordSchema,
-    WeightedRecord,
 )
 
 
@@ -14,11 +13,6 @@ class TestSchemaValidation:
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError):
             RecordSchema(MIN_RECORD_SIZE - 1)
-
-    def test_weighted_minimum_is_larger(self):
-        RecordSchema(MIN_RECORD_SIZE + 8, weighted=True)
-        with pytest.raises(ValueError):
-            RecordSchema(MIN_RECORD_SIZE + 7, weighted=True)
 
     def test_records_per_block(self):
         schema = RecordSchema(50)
@@ -67,23 +61,15 @@ class TestCodec:
         with pytest.raises(ValueError):
             schema.decode(b"\x00" * 49)
 
-    def test_weighted_round_trip(self):
-        schema = RecordSchema(64, weighted=True)
-        record = Record(key=7, value=1.0, timestamp=2.0, payload=b"x")
-        decoded = schema.decode(schema.encode(record, weight=0.375))
-        assert isinstance(decoded, WeightedRecord)
-        assert decoded.record == record
-        assert decoded.weight == 0.375
-
-    def test_weighted_default_weight_is_one(self):
-        schema = RecordSchema(64, weighted=True)
-        decoded = schema.decode(schema.encode(Record(key=1)))
-        assert decoded.weight == 1.0
-
     def test_unweighted_schema_rejects_weight(self):
+        """The record slot has no weight field: a structure keeps a
+        per-record weight in its aux columns, and the schema takes no
+        weight argument at all."""
         schema = RecordSchema(64)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             schema.encode(Record(key=1), weight=2.0)
+        with pytest.raises(TypeError):
+            RecordSchema(64, weighted=True)
 
     def test_batch_round_trip(self):
         schema = RecordSchema(40)
@@ -92,32 +78,7 @@ class TestCodec:
         assert len(data) == 400
         assert schema.decode_batch(data, 10) == records
 
-    def test_batch_with_weights(self):
-        schema = RecordSchema(40, weighted=True)
-        records = [Record(key=i) for i in range(3)]
-        weights = [0.5, 1.0, 2.0]
-        data = schema.encode_batch(records, weights)
-        decoded = schema.decode_batch(data, 3)
-        assert [d.weight for d in decoded] == weights
-
-    def test_batch_weight_length_mismatch(self):
-        schema = RecordSchema(40, weighted=True)
-        with pytest.raises(ValueError):
-            schema.encode_batch([Record(key=1)], [1.0, 2.0])
-
     def test_decode_batch_insufficient_bytes(self):
         schema = RecordSchema(40)
         with pytest.raises(ValueError):
             schema.decode_batch(b"\x00" * 39, 1)
-
-
-class TestWeightedRecord:
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedRecord(Record(key=1), weight=-0.1)
-
-    def test_zero_weight_allowed_for_storage(self):
-        # Samplers reject non-positive f(r); the storage container only
-        # forbids negatives (a stored weight of zero can arise from
-        # clamping in user code).
-        WeightedRecord(Record(key=1), weight=0.0)

@@ -15,13 +15,16 @@ from repro.baselines import (
     ScanReservoir,
     VirtualMemoryReservoir,
 )
+from repro.core.biased_file import BiasedGeometricFile
+from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.reservoir import (
     StreamReservoir,
     draw_victim_counts,
     hypergeometric,
 )
 from repro.storage.device import SimulatedBlockDevice
-from repro.storage.records import Record
+from repro.storage.recordbatch import RecordBatch
+from repro.storage.records import Record, RecordSchema
 
 
 class _CountingReservoir(StreamReservoir):
@@ -85,28 +88,34 @@ class TestAdmissionModes:
         assert r.stats().seen == 0
 
 
+def _rows(keys) -> np.ndarray:
+    return RecordBatch.from_records(
+        RecordSchema(40), [Record(key=k) for k in keys]).array
+
+
 class TestApplyPending:
+    """``apply_pending_batch``: pending rows displace uniform victims."""
+
     def test_result_size(self):
-        disk = [Record(key=i) for i in range(100)]
-        pending = [Record(key=1000 + i) for i in range(10)]
-        out = StreamReservoir.apply_pending(disk, pending, random.Random(0))
+        out = StreamReservoir.apply_pending_batch(
+            _rows(range(100)), _rows(range(1000, 1010)), random.Random(0))
         assert len(out) == 100
-        keys = {r.key for r in out}
+        keys = set(out["key"].tolist())
         assert all(1000 + i in keys for i in range(10))
 
     def test_no_pending_is_identity(self):
-        disk = [Record(key=i) for i in range(5)]
-        out = StreamReservoir.apply_pending(disk, [], random.Random(0))
-        assert out == disk
+        disk = _rows(range(5))
+        out = StreamReservoir.apply_pending_batch(disk, _rows([]),
+                                                  random.Random(0))
+        assert out["key"].tolist() == list(range(5))
 
     def test_victims_uniform(self):
-        disk = [Record(key=i) for i in range(10)]
-        pending = [Record(key=99)]
+        pending = _rows([99])
         killed = collections.Counter()
         for t in range(4000):
-            out = StreamReservoir.apply_pending(disk, pending,
-                                                random.Random(t))
-            survivors = {r.key for r in out}
+            out = StreamReservoir.apply_pending_batch(
+                _rows(range(10)), pending, random.Random(t))
+            survivors = set(out["key"].tolist())
             for k in range(10):
                 if k not in survivors:
                     killed[k] += 1
@@ -115,10 +124,8 @@ class TestApplyPending:
 
     def test_too_many_pending_rejected(self):
         with pytest.raises(ValueError):
-            StreamReservoir.apply_pending(
-                [Record(key=0)], [Record(key=1), Record(key=2)],
-                random.Random(0),
-            )
+            StreamReservoir.apply_pending_batch(
+                _rows([0]), _rows([1, 2]), random.Random(0))
 
 
 class TestHypergeometricHelpers:
@@ -271,25 +278,32 @@ class TestVictimDrawBeyondNumpyLimit:
         assert counts[0] > 0.97 * 10_485_760
 
 
-def _baseline(cls, columnar, seed):
+def _baseline(cls, seed):
     config = DiskReservoirConfig(capacity=2000, buffer_capacity=200,
                                  record_size=40, retain_records=True,
-                                 admission="uniform", columnar=columnar)
+                                 admission="uniform")
     blocks = cls.required_blocks(config, 4096)
     return cls(SimulatedBlockDevice(blocks, small_disk_params()), config,
                seed=seed)
 
 
+def _biased(seed):
+    config = GeometricFileConfig(capacity=2000, buffer_capacity=200,
+                                 record_size=40, beta_records=10,
+                                 retain_records=True)
+    blocks = GeometricFile.required_blocks(config, 4096)
+    return BiasedGeometricFile(
+        SimulatedBlockDevice(blocks, small_disk_params()), config,
+        lambda record: 1.0 + record.key % 7, seed=seed)
+
+
 QUERY_RNG_STRUCTURES = {
     "geo-list": lambda seed: make_geometric_file(2000, 200, seed=seed),
     "multi-list": lambda seed: make_multi_file(2000, 200, seed=seed),
-    "scan-list": lambda seed: _baseline(ScanReservoir, False, seed),
-    "scan-columnar": lambda seed: _baseline(ScanReservoir, True, seed),
-    "overwrite-list": lambda seed: _baseline(
-        LocalOverwriteReservoir, False, seed),
-    "overwrite-columnar": lambda seed: _baseline(
-        LocalOverwriteReservoir, True, seed),
-    "vm-list": lambda seed: _baseline(VirtualMemoryReservoir, False, seed),
+    "biased-list": _biased,
+    "scan-list": lambda seed: _baseline(ScanReservoir, seed),
+    "overwrite-list": lambda seed: _baseline(LocalOverwriteReservoir, seed),
+    "vm-list": lambda seed: _baseline(VirtualMemoryReservoir, seed),
 }
 
 

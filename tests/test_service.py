@@ -226,19 +226,18 @@ class TestRoundTrip:
 
         Journaling it first would poison crash recovery (replay
         re-sends it forever); and on the shm transport the slab codec
-        would silently misdecode a weighted or resized layout.  So
-        ``offer_batch`` validates the schema before the hot cache, the
-        journal, or any pool sees the batch.
+        would silently misdecode a resized layout.  So ``offer_batch``
+        validates the schema before the hot cache, the journal, or any
+        pool sees the batch.
         """
         from repro.storage.recordbatch import RecordBatch
         from repro.storage.records import RecordSchema
 
         with make_service(tmp_path / "svc") as service:
-            weighted = RecordBatch.from_records(
-                RecordSchema(32, weighted=True), keyed_records(10),
-                weights=[1.0] * 10)
+            wider = RecordBatch.from_records(RecordSchema(40),
+                                             keyed_records(10))
             with pytest.raises(ValueError, match="schema"):
-                service.offer_batch(weighted)
+                service.offer_batch(wider)
             resized = RecordBatch.from_records(RecordSchema(48),
                                                keyed_records(10))
             with pytest.raises(ValueError, match="schema"):

@@ -208,18 +208,17 @@ def make_pool(root, **kwargs):
 def test_schema_mismatched_batch_never_rides_the_ring(tmp_path):
     """A batch that is not the shard's declared layout skips the ring.
 
-    The slab codec decodes with the shard schema, so a weighted (or
-    resized) batch on the ring would shift every field; the pool must
-    route it over the pickled queue (which carries the batch's own
-    schema) and count the fallback, leaving the ring untouched.
+    The slab codec decodes with the shard schema, so a resized batch on
+    the ring would shift every field; the pool must route it over the
+    pickled queue (which carries the batch's own schema) and count the
+    fallback, leaving the ring untouched.
     """
     pool = make_pool(tmp_path / "s0", ipc="shm")
     try:
         assert pool.recv(0, timeout=60.0)[0] == "ready"
-        weighted = RecordBatch.from_records(
-            RecordSchema(32, weighted=True), keyed_records(10),
-            weights=[1.0] * 10)
-        pool.send(0, ("batch", 1, weighted))
+        wider = RecordBatch.from_records(RecordSchema(40),
+                                         keyed_records(10))
+        pool.send(0, ("batch", 1, wider))
         assert pool.fallback_slabs == 1
         assert pool.zero_copy_bytes == 0
         assert pool.ring_depth(0) == 0
@@ -257,16 +256,13 @@ def test_drain_counts_dropped_untranslatable_replies(tmp_path):
         slab = ring.try_pop()
         assert slab is not None and slab.seq == 7
         ring.pop_done(slab)
-        while True:  # both replies queued before the kill
-            try:
-                if pool._outboxes[0].qsize() >= 2:
-                    break
-            except NotImplementedError:  # pragma: no cover - macOS
-                time.sleep(0.5)
-                break
-            assert time.monotonic() < deadline, "acks never queued"
-            time.sleep(0.005)
-        pool.kill(0)
+        # End the worker only once both replies are in the pipe: a
+        # normal exit joins the outbox's feeder thread, where a kill
+        # after qsize() counts them could drop one still in the feeder.
+        pool.send(0, ("stop",))
+        process = pool._processes[0]
+        process.join(timeout=30.0)
+        assert not process.is_alive(), "worker never stopped"
         drained = []
         while not any(r[0] == "checkpointed" for r in drained):
             assert time.monotonic() < deadline, "ack never drained"

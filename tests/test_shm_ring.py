@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from conftest import keyed_records
 from repro.service.shm import (
     CONTROL_BYTES,
-    FLAG_WEIGHTED,
     FRAME_ALIGN,
     HAVE_SHM,
     HEADER_BYTES,
@@ -245,13 +244,11 @@ def test_attach_sees_the_creators_frames():
     """A second mapping of the same segment pops what the first pushed."""
     ring = SlabRing(capacity=1024)
     try:
-        assert ring.try_push(KIND_DATA, 9, b"hello", n_records=1,
-                             flags=FLAG_WEIGHTED)
+        assert ring.try_push(KIND_DATA, 9, b"hello", n_records=1, flags=1)
         other = SlabRing(name=ring.name)
         assert other.capacity == ring.capacity
         slab = other.try_pop()
-        assert (slab.seq, bytes(slab.view), slab.weighted) == (
-            9, b"hello", True)
+        assert (slab.seq, bytes(slab.view), slab.flags) == (9, b"hello", 1)
         other.pop_done(slab)
         assert ring.used_bytes == 0  # head advance is shared state
         other.close()
@@ -272,7 +269,7 @@ def test_record_batch_rides_the_ring_bit_exact():
         assert batch.into_shared(view) == n_bytes
         ring.commit(KIND_DATA, 5, n_records=len(batch), n_bytes=n_bytes)
         slab = ring.try_pop()
-        assert (slab.seq, slab.n_records, slab.weighted) == (5, 64, False)
+        assert (slab.seq, slab.n_records, slab.flags) == (5, 64, 0)
         out = RecordBatch.from_shared(schema, slab.view, 64).copy()
         ring.pop_done(slab)
         assert np.array_equal(out.array, batch.array)
@@ -292,30 +289,26 @@ def test_shared_codec_rejects_short_buffers():
 def test_ingest_pop_rejects_schema_mismatched_frames():
     """The worker never decodes a frame that disagrees with its schema.
 
-    A weighted-flagged frame (or one whose byte count is not
-    ``n_records`` whole records) against an unweighted shard schema
-    must raise :class:`TornSlabError` instead of shifting every field
-    by the 8 weight bytes -- the ingest-direction mirror of the
-    supervisor's reply-slab guard.
+    A frame of wider records (or one whose byte count is not
+    ``n_records`` whole records) against the shard's record size must
+    raise :class:`TornSlabError` instead of shifting every field.
     """
     from repro.service.worker import _pop_batch_slab
 
     schema = RecordSchema(32)
-    weighted = RecordSchema(32, weighted=True)
-    batch = RecordBatch.from_records(weighted, keyed_records(8),
-                                     weights=[1.0] * 8)
-    n_bytes = len(batch) * weighted.record_size
+    wider = RecordSchema(40)
+    batch = RecordBatch.from_records(wider, keyed_records(8))
+    n_bytes = len(batch) * wider.record_size
     ring = SlabRing(capacity=4096)
     try:
         view = ring.try_reserve(n_bytes)
         batch.into_shared(view)
-        ring.commit(KIND_DATA, 1, flags=FLAG_WEIGHTED,
-                    n_records=len(batch), n_bytes=n_bytes)
+        ring.commit(KIND_DATA, 1, n_records=len(batch), n_bytes=n_bytes)
         with pytest.raises(TornSlabError, match="schema"):
             _pop_batch_slab(ring, schema, 1, len(batch))
         assert ring.used_bytes == 0  # the bad frame was released
 
-        # Size mismatch alone (right flag, short payload) is caught too.
+        # A short payload is caught too.
         view = ring.try_reserve(24)
         view[:] = b"\x00" * 24
         ring.commit(KIND_DATA, 2, n_records=8, n_bytes=24)

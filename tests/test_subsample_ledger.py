@@ -2,19 +2,22 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.subsample import SubsampleLedger
-from repro.storage.records import Record
+from repro.storage.recordbatch import RecordBatch
+from repro.storage.records import Record, RecordSchema
 
 
 def make_ledger(sizes=(40, 30, 20), tail=10, with_records=False,
                 stack_capacity=None):
     live = sum(sizes) + tail
-    records = ([Record(key=i) for i in range(live)]
-               if with_records else None)
+    records = (RecordBatch.from_records(
+        RecordSchema(40), [Record(key=i) for i in range(live)])
+        if with_records else None)
     return SubsampleLedger(0, list(sizes), 0, tail, records,
                            stack_capacity=stack_capacity)
 
@@ -164,11 +167,14 @@ class TestRecordTracking:
         ledger.check_invariant()
 
     def test_weights_trim_in_lockstep(self):
+        """Weights ride an aux column, trimmed with the records."""
         ledger = make_ledger((10,), tail=0, with_records=True)
-        ledger.weights = [float(i) for i in range(10)]
+        ledger.aux = np.arange(10, dtype=np.float64).reshape(-1, 1)
         ledger.evict(4)
-        assert len(ledger.weights) == len(ledger.records) == 6
-        assert ledger.weights == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert len(ledger.aux) == len(ledger.records) == 6
+        assert ledger.aux[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert ledger.records.keys.tolist() == [0, 1, 2, 3, 4, 5]
+        ledger.check_invariant()
 
 
 class TestOverflowDetection:

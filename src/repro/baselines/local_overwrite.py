@@ -38,7 +38,7 @@ re-randomization -- follows.
 from __future__ import annotations
 
 from ..pipeline import FlushPlan
-from ..reservoir import draw_victim_counts
+from ..reservoir import bulk_generator, draw_victim_counts
 from ..storage.device import BlockDevice
 from ..storage.recordbatch import RecordBatch
 from .base import BufferedDiskReservoir, Cohort, DiskReservoirConfig
@@ -83,12 +83,10 @@ class LocalOverwriteReservoir(BufferedDiskReservoir):
 
     def _finish_fill(self, records: RecordBatch | None) -> None:
         if records is not None:
-            # The fill is clustered randomly: shuffle an index list
-            # through the random.Random (the draws of shuffling the
-            # records themselves), then realise it as one take.
-            order = list(range(len(records)))
-            self._rng.shuffle(order)
-            records = records.take(order)
+            # The fill is clustered randomly: one permutation, realised
+            # as one take.
+            records = records.take(
+                bulk_generator(self._rng).permutation(len(records)))
         self._cohorts = [Cohort(live=self.capacity, region_block=0,
                                 records=records)]
 

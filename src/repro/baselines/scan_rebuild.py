@@ -18,9 +18,8 @@ needs no record bookkeeping at all).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..pipeline import FlushPlan
+from ..reservoir import draw_distinct
 from ..storage.device import BlockDevice
 from ..storage.recordbatch import RecordBatch
 from .base import BufferedDiskReservoir, Cohort, DiskReservoirConfig
@@ -74,9 +73,8 @@ class ScanReservoir(BufferedDiskReservoir):
         if records is not None:
             # Victims are distinct, so one fancy-index scatter splices
             # the whole flush without record objects.
-            victims = self._rng.sample(range(self.capacity), count)
-            self._records.array[np.asarray(victims, dtype=np.intp)] = (
-                records.array)
+            victims = draw_distinct(self._rng, self.capacity, count)
+            self._records.array[victims] = records.array
 
     def _charge_full_scan(self, plan: FlushPlan) -> None:
         plan.read(0, self._file_blocks)

@@ -10,17 +10,20 @@ unbiased structures.  What Section 7.3 adds is the weight bookkeeping:
   here aux column 0 of the buffer's and every ledger's slab, which the
   drain permutes and evictions truncate in step with the rows;
 * every subsample carries an in-memory *weight multiplier* ``M_j``;
-  the true weight of a record is ``M_j * r.weight`` (Definition 2);
+  the true weight of a record is ``M_j * r.weight`` (Definition 2).
+  The file stores each ``M_j`` divided by one shared scale factor, so
+  an overflow event scales every multiplier by scaling that factor;
 * during start-up all records get effective weight 1, and when the
   reservoir fills every initial subsample's multiplier is set to the
   *mean* weight ``totalWeight / |R|`` ("a necessary evil");
 * when a record arrives whose admission probability would exceed one,
   every existing multiplier and every buffered weight is scaled up so
   that it is exactly one, and ``totalWeight`` is reset to
-  ``|R| * f(r)`` (Section 7.3.2's three steps).  The buffered weights
-  are scaled in O(1) through an epoch factor: the buffer stores each
-  weight divided by the factor of its moment, and the flush multiplies
-  the drained column by the factor when the buffer becomes a subsample.
+  ``|R| * f(r)`` (Section 7.3.2's three steps).  Both scalings are
+  O(1): the multipliers through their shared scale, the buffered
+  weights through an epoch factor (the buffer stores each weight
+  divided by the factor of its moment, and the flush multiplies the
+  drained column by the factor when the buffer becomes a subsample).
 
 Lemma 3's guarantee -- ``Pr[r in R] = |R| * M(r) * r.weight /
 totalWeight`` -- is what :meth:`BiasedSamplingMixin.items` exposes to
@@ -80,13 +83,36 @@ class BiasedSamplingMixin:
         #: Sum of true weights over every stream record so far
         #: (the paper's ``totalWeight``).
         self.total_weight = 0.0
-        #: Per-subsample weight multipliers, ident -> M_j.
-        self.multipliers: dict[int, float] = {}
+        #: Per-subsample weight multipliers over the shared scale,
+        #: ident -> M_j / _multiplier_scale (see :attr:`multipliers`).
+        self._multipliers: dict[int, float] = {}
+        #: Section 7.3.2's overflow factors since the last fold: every
+        #: true multiplier is its stored one times this scale.
+        self._multiplier_scale = 1.0
         self.overflow_events = 0
         #: Section 7.3.2's overflow factor since the last flush: a
         #: buffered record's effective weight is its stored weight
         #: times this epoch.
         self.weight_epoch = 1.0
+
+    @property
+    def multipliers(self) -> dict[int, float]:
+        """Per-subsample weight multipliers, ident -> true ``M_j``."""
+        scale = self._multiplier_scale
+        return {ident: m * scale for ident, m in self._multipliers.items()}
+
+    @multipliers.setter
+    def multipliers(self, true_multipliers: dict[int, float]) -> None:
+        self._multipliers = dict(true_multipliers)
+        self._multiplier_scale = 1.0
+
+    def fold_multiplier_scale(self) -> None:
+        """Store the true multipliers and reset the shared scale to one.
+
+        Checkpoints fold first, so a saved file and its restore compute
+        every later ``M_j`` with the same float operations.
+        """
+        self.multipliers = self.multipliers
 
     # -- stream interface -------------------------------------------------------
 
@@ -175,8 +201,9 @@ class BiasedSamplingMixin:
         ``totalWeight`` this gives Lemma 3's inclusion probabilities,
         ready for :func:`repro.estimate.horvitz_thompson_sum`.
         """
+        multipliers = self.multipliers
         for ledger in self._biased_ledgers():
-            multiplier = self.multipliers.get(ledger.ident, 1.0)
+            multiplier = multipliers.get(ledger.ident, 1.0)
             weights = ledger.aux[:, 0].tolist()
             for record, weight in zip(ledger.records.to_records(), weights):
                 yield record, multiplier * weight
@@ -201,10 +228,11 @@ class BiasedSamplingMixin:
     # -- internals ------------------------------------------------------------------
 
     def _scale_all_weights(self, factor: float, new_weight: float) -> None:
-        """Section 7.3.2's three steps."""
-        for ident in self.multipliers:
-            self.multipliers[ident] *= factor          # step (1)
-        self.weight_epoch *= factor                    # step (2), O(1)
+        """Section 7.3.2's three steps, each O(1)."""
+        self._multiplier_scale *= factor               # step (1)
+        if self._multiplier_scale > _RENORMALIZE_ABOVE:
+            self.fold_multiplier_scale()
+        self.weight_epoch *= factor                    # step (2)
         if self.weight_epoch > _RENORMALIZE_ABOVE:
             self.buffer.aux_view()[:, 0] *= self.weight_epoch
             self.weight_epoch = 1.0
@@ -218,9 +246,8 @@ class BiasedSamplingMixin:
         "When the reservoir is finished filling, M_i is set to
         totalWeight / |R| for every one of the initial subsamples."
         """
-        mean_weight = self.total_weight / self.capacity
-        for ident in self.multipliers:
-            self.multipliers[ident] = mean_weight
+        self.multipliers = dict.fromkeys(self._multipliers,
+                                         self.total_weight / self.capacity)
 
     def _stats_extra(self) -> dict:
         extra = super()._stats_extra()
@@ -237,7 +264,7 @@ class BiasedSamplingMixin:
         # "When the buffer fills and the jth subsample is ... written to
         # disk, M_j is set to 1."  (Start-up multipliers are rewritten
         # by _finish_startup_weights once the reservoir completes.)
-        self.multipliers[ledger.ident] = 1.0
+        self._multipliers[ledger.ident] = 1.0 / self._multiplier_scale
         return ledger
 
     def _flush(self) -> None:
@@ -246,9 +273,9 @@ class BiasedSamplingMixin:
 
     def _drop_dead_multipliers(self) -> None:
         alive = {ledger.ident for ledger in self._biased_ledgers()}
-        for ident in list(self.multipliers):
+        for ident in list(self._multipliers):
             if ident not in alive:
-                del self.multipliers[ident]
+                del self._multipliers[ident]
 
     @staticmethod
     def _require_record_retention(config: GeometricFileConfig) -> None:

@@ -30,6 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..reservoir import bulk_generator
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record, RecordSchema
 
@@ -271,7 +272,7 @@ class SampleBuffer:
         consumed index is a join.
         """
         if self._np_rng is None:
-            self._np_rng = np.random.default_rng(self._rng.getrandbits(64))
+            self._np_rng = bulk_generator(self._rng)
         w = self._np_rng.random(m) * reservoir_size
         # Count upper bound at each index: every prior record joined.
         candidates = np.flatnonzero(w < self._count + np.arange(m))
@@ -355,8 +356,11 @@ class SampleBuffer:
         buffer" (Section 4.3), and the ledger's pop-from-the-end
         eviction rule depends on it -- as a freshly permuted
         :class:`~repro.storage.recordbatch.RecordBatch`; the aux rows,
-        permuted identically, wait for :meth:`take_aux`.  A count-only
-        buffer returns ``(None, count)`` and draws nothing.
+        permuted identically, wait for :meth:`take_aux`.  The
+        permutation is one numpy ``permutation(count)`` seeded by one
+        64-bit word of the ``random.Random``
+        (:func:`~repro.reservoir.bulk_generator`).  A count-only buffer
+        returns ``(None, count)`` and draws nothing.
 
         Double-buffering contract (:mod:`repro.pipeline`): the return
         value never aliases live buffer storage -- the permutation is a
@@ -369,12 +373,7 @@ class SampleBuffer:
         self._count = 0
         if self._slab is None:
             return None, count
-        # Fisher-Yates over an index list through the random.Random:
-        # the same draws, and the same permutation, as shuffling a
-        # list of the records (or of (record, weight) pairs) directly.
-        order = list(range(count))
-        self._rng.shuffle(order)
-        index = np.asarray(order, dtype=np.intp)
+        index = bulk_generator(self._rng).permutation(count)
         batch = RecordBatch(self._schema, self._slab[:count][index])
         if self._aux is not None:
             self._drained_aux = self._aux[:count][index]

@@ -27,8 +27,11 @@ the manifest the epoch factor they are multiplied by
 (``weight_epoch``), so a restored biased buffer repeats the saved one's
 floating-point arithmetic; a manifest that names the factor
 ``buffer_scale`` and the weights ``buffer_weights`` (the record-list
-layout's fields) restores the same way.  Payloads follow the slot
-contract of
+layout's fields) restores the same way.  The subsample multipliers are
+written as true ``M_j``: the save first folds the file's overflow scale
+into them (``BiasedSamplingMixin.fold_multiplier_scale``), so the saved
+and restored files continue with the same arithmetic.  Payloads follow
+the slot contract of
 :meth:`~repro.storage.records.RecordSchema.decode`: padded to the slot
 width, trailing NUL bytes dropped.  Documents of versions 1 and 2
 (records inline in the document) are rejected.
@@ -418,6 +421,7 @@ def save_geometric_file(gf: GeometricFile | MultipleGeometricFiles,
         state["meta"] = meta
     if isinstance(gf, BiasedSamplingMixin):
         state["total_weight"] = gf.total_weight
+        gf.fold_multiplier_scale()
         state["multipliers"] = {str(k): v
                                 for k, v in gf.multipliers.items()}
         state["overflow_events"] = gf.overflow_events

@@ -177,20 +177,26 @@ class VictimScratch:
         return self._buf[:n]
 
 
-def draw_distinct(rng: random.Random | np.random.Generator, n: int,
-                  k: int) -> np.ndarray:
-    """A uniform, uniformly ordered ``k``-subset of ``range(n)``.
+def bulk_generator(rng: random.Random | np.random.Generator
+                   ) -> np.random.Generator:
+    """A numpy ``Generator`` for one bulk draw.
 
-    A ``random.Random`` draws it as ``rng.sample(range(n), k)``, a numpy
-    ``Generator`` as ``rng.choice(n, size=k, replace=False)``: the draws
-    the record-list reads made (``random.sample`` over the survivors of
-    the pending rows' victims, then over the materialised sample, and a
-    numpy ``choice`` for the batch form), so a read consumes each
-    generator as they did.
+    A ``random.Random`` gives one ``getrandbits(64)`` word to seed a
+    fresh generator, so a whole permutation or ``k``-subset costs its
+    stream one word instead of a Python-level draw per element; a numpy
+    ``Generator`` is returned as is.
     """
     if isinstance(rng, random.Random):
-        return np.fromiter(rng.sample(range(n), k), dtype=np.intp, count=k)
-    return rng.choice(n, size=k, replace=False)
+        return np.random.default_rng(rng.getrandbits(64))
+    return rng
+
+
+def draw_distinct(rng: random.Random | np.random.Generator, n: int,
+                  k: int) -> np.ndarray:
+    """A uniform, uniformly ordered ``k``-subset of ``range(n)``: one
+    ``choice(n, k)`` without replacement from ``rng`` (a
+    ``random.Random`` through :func:`bulk_generator`)."""
+    return bulk_generator(rng).choice(n, size=k, replace=False)
 
 
 def _distinct_integers(rng: np.random.Generator, low: int, high: int,
@@ -246,9 +252,7 @@ class StreamReservoir(abc.ABC):
             per-record decisions and the numpy generator used for
             batched draws.
         law: the :class:`~repro.sampling.laws.SamplingLaw` owning every
-            admission decision; ``None`` means the paper's uniform law
-            (whose method bodies are the pre-refactor code verbatim,
-            so default construction is bit-exact with older builds).
+            admission decision; ``None`` means the paper's uniform law.
             Non-uniform laws supersede ``admission``.
     """
 
@@ -652,11 +656,11 @@ class StreamReservoir(abc.ABC):
                 full reservoir.
             rng: a ``random.Random`` or ``numpy.random.Generator`` for
                 every draw of the read.  Without one, both draws come
-                from the structure's ``random.Random``, as the
-                record-list reads drew them, and none from its numpy
-                generator.
+                from one generator seeded by one word of the
+                structure's ``random.Random`` (:func:`bulk_generator`),
+                and none from its numpy generator.
         """
-        gen = rng if rng is not None else self._rng
+        gen = bulk_generator(self._rng if rng is None else rng)
         return self._read(k, gen, gen).to_records()
 
     def sample_batch(self, k: int | None = None, *, rng=None):
@@ -674,15 +678,17 @@ class StreamReservoir(abc.ABC):
             rng: a ``numpy.random.Generator`` (or ``random.Random``)
                 for every draw of the read, so a query need not touch
                 the structure's own streams.  Without one, the pending
-                rows' victims come from the structure's
-                ``random.Random`` and the ``k`` positions from its
-                numpy generator (one ``choice(size, k)``), as the
-                record-list reads drew them, so every later admission
-                and flush sees the generator states it always saw.
+                rows' victims come from a generator seeded by one word
+                of the structure's ``random.Random``
+                (:func:`bulk_generator`) and the ``k`` positions from
+                its numpy generator (one ``choice(size, k)``), so a
+                read moves each stream by a fixed budget whatever it
+                returns.
         """
         if rng is None:
-            return self._read(k, self._rng, self._np_rng)
-        return self._read(k, rng, rng)
+            return self._read(k, bulk_generator(self._rng), self._np_rng)
+        gen = bulk_generator(rng)
+        return self._read(k, gen, gen)
 
     def _read(self, k: int | None, victims_rng, positions_rng):
         from .storage.recordbatch import RecordBatch

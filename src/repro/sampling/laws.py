@@ -24,10 +24,9 @@ module factors the *law* out of the *machinery*.  A
 Four laws ship:
 
 ``uniform``
-    The paper's Algorithm 1/2/3, *verbatim*: every method body is the
-    pre-refactor code operating on the same RNG objects in the same
-    order, so an engine constructed with the default config is
-    bit-exact with the pre-law engines (samples, DiskStats, clock).
+    The paper's Algorithm 1/2/3.  An engine constructed with the
+    default config and one with ``law="uniform"`` are bit-exact twins
+    (samples, DiskStats, clock).
 
 ``aexpj``
     Efraimidis-Spirakis weighted-without-replacement (A-ExpJ).  Each
@@ -279,9 +278,9 @@ class SamplingLaw:
 
         Materialise-then-thin: ``victims_rng`` places the pending rows,
         then ``positions_rng`` draws a uniform ``k``-subset, in uniform
-        order, of the materialised rows.  Each generator is a
-        ``random.Random`` or a numpy ``Generator``
-        (:func:`~repro.reservoir.draw_distinct`).
+        order, of the materialised rows (each a numpy ``Generator``, or
+        a ``random.Random`` that :func:`~repro.reservoir.draw_distinct`
+        converts).
         """
         combined = self.materialize_batch(gf, victims_rng)
         if k is None:
@@ -395,13 +394,15 @@ class SamplingLaw:
 
 
 class UniformLaw(SamplingLaw):
-    """The source paper's law, hoisted verbatim.
+    """The source paper's law: Algorithm 1's ``N/i`` gate, Algorithm 2's
+    placement and Algorithm 3's uniform victims.
 
-    Every method body is the pre-refactor admission / placement code
-    moved here unchanged: the same ``random.Random`` and numpy
-    ``Generator`` objects are consumed in the same order, so a
-    structure running this law is bit-exact with the pre-law engines
-    on samples, DiskStats, and clock (twin-tested).
+    Scalar verbs draw from the structure's ``random.Random``; the batch
+    and count-only verbs decide admissions, joins and victim counts
+    from its numpy ``Generator`` alone, so on those verbs the simulated
+    disk per seed does not depend on how the ``random.Random`` is spent
+    (drains and reads take one word of it each).  ``law="uniform"`` and
+    the default construction are bit-exact twins (tested).
     """
 
     name = "uniform"

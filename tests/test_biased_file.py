@@ -16,7 +16,7 @@ from repro.storage.records import Record
 
 
 def make_biased(capacity=500, buffer_capacity=50, weight_fn=uniform_weight,
-                seed=0, record_size=40):
+                seed=0, record_size=40, cls=BiasedGeometricFile):
     config = GeometricFileConfig(
         capacity=capacity, buffer_capacity=buffer_capacity,
         record_size=record_size, retain_records=True,
@@ -24,7 +24,7 @@ def make_biased(capacity=500, buffer_capacity=50, weight_fn=uniform_weight,
     )
     blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
     device = SimulatedBlockDevice(blocks, small_disk_params())
-    return BiasedGeometricFile(device, config, weight_fn, seed=seed)
+    return cls(device, config, weight_fn, seed=seed)
 
 
 def feed(bf, n, start=0):
@@ -127,6 +127,35 @@ class TestBias:
             }:
                 hits += 1
         assert hits == 10
+
+
+class LoopScaledFile(BiasedGeometricFile):
+    """Section 7.3.2's step (1) as the literal loop over every ``M_j``."""
+
+    def _scale_all_weights(self, factor, new_weight):
+        multipliers = self.multipliers
+        super()._scale_all_weights(factor, new_weight)
+        for ident in multipliers:
+            multipliers[ident] *= factor
+        self.multipliers = multipliers
+
+
+class TestOverflowScale:
+    def test_shared_scale_matches_the_literal_loop(self):
+        """Algorithm 4 never reads ``M_j``, so both files admit the
+        same records; their true weights agree to rounding."""
+        files = [make_biased(capacity=500, buffer_capacity=50,
+                             weight_fn=exponential_recency(100.0), seed=3,
+                             cls=cls)
+                 for cls in (BiasedGeometricFile, LoopScaledFile)]
+        for bf in files:
+            feed(bf, 3000)
+        scaled, looped = files
+        assert scaled.overflow_events == looped.overflow_events >= 1000
+        got, want = list(scaled.items()), list(looped.items())
+        assert [r.key for r, _ in got] == [r.key for r, _ in want]
+        for (_, weight), (_, expected) in zip(got, want):
+            assert weight == pytest.approx(expected, rel=1e-12)
 
 
 class TestTrueWeights:

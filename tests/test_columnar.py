@@ -49,6 +49,7 @@ from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.core.managed import ManagedSample
 from repro.core.zonemap import ZoneMapIndex
 from repro.estimate.aqp import BatchQuery, SampleQuery
+from repro.reservoir import bulk_generator
 from repro.service import ShardedReservoir
 from repro.storage.device import MemoryBlockDevice, SimulatedBlockDevice
 from repro.storage.recordbatch import RecordBatch
@@ -198,9 +199,9 @@ class TestRecordBatchSurface:
 
 class TestBufferParity:
     def test_columnar_buffer_matches_object_buffer(self):
-        """A slab drain is the record-list buffer's drain: the rows in
-        staged order, shuffled by ``random.Random.shuffle`` from the
-        same generator state, fill after fill."""
+        """A slab drain is the rows in staged order, permuted by
+        :func:`~repro.reservoir.bulk_generator` from the same
+        ``random.Random`` state, fill after fill."""
         schema = RecordSchema(40)
         batch = stream_batch(schema, keyed_records(400))
         rng = random.Random(7)
@@ -208,19 +209,18 @@ class TestBufferParity:
         buffer.extend_batch(batch[:50])
         twin = random.Random()
         twin.setstate(rng.getstate())
-        expected = list(range(50))
-        twin.shuffle(expected)
+        expected = bulk_generator(twin).permutation(50).tolist()
         drained, count = buffer.drain()
         assert count == 50 and drained.keys.tolist() == expected
         i = 50
         while i < len(batch):
             i += buffer.absorb_batch(batch, 2000, start=i)
             if buffer.is_full:
-                staged = buffer.pending_view()["key"].tolist()
+                staged = buffer.pending_view()["key"]
                 twin.setstate(rng.getstate())
-                twin.shuffle(staged)
+                expected = staged[bulk_generator(twin).permutation(50)]
                 drained, _ = buffer.drain()
-                assert drained.keys.tolist() == staged
+                assert drained.keys.tolist() == expected.tolist()
 
     def test_pending_view_sees_live_rows(self):
         schema = RecordSchema(40)

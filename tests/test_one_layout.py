@@ -12,14 +12,17 @@ keep:
 * **oracle** -- a biased file's ``sample_batch(k)`` is the uniform k-row
   gather: the rows materialise-then-thin returns from the same
   generator states;
-* **record-list goldens** -- a biased file fed a recency-weighted
-  stream with overflow events, and every record-keeping baseline fed
-  records or slabs, end where the record-list layout ended (constants
-  recorded from that layout in ``fixtures/record_list_goldens.json``);
+* **goldens** -- a biased file fed a recency-weighted stream with
+  overflow events, and every record-keeping baseline fed records or
+  slabs, end at the constants of ``fixtures/record_list_goldens.json``
+  (first recorded from the record-list layout;
+  ``fixtures/record_list_goldens.py`` recomputes them with this
+  module's drives, ``--diff`` prints what a change moves and
+  ``--write`` re-records them);
 * **old manifests** -- a format-3 manifest the record-list layout wrote
   for a biased file mid-epoch (``fixtures/
-  biased_record_list_manifest.json``) restores and continues as it did
-  there;
+  biased_record_list_manifest.json``) restores and continues to its
+  golden;
 * **weights checked first** -- a weight that is not finite and
   positive is refused before any state changes.
 """
@@ -243,9 +246,11 @@ class TestBiasedGatherOracle:
             assert np.array_equal(got.array, want)
 
 
-# -- goldens recorded from the record-list layout ------------------------------
+# -- goldens ------------------------------------------------------------------
 
-GOLDENS = json.loads((FIXTURES / "record_list_goldens.json").read_text())
+GOLDENS_PATH = FIXTURES / "record_list_goldens.json"
+GOLDENS = json.loads(GOLDENS_PATH.read_text())
+MANIFEST_PATH = FIXTURES / "biased_record_list_manifest.json"
 
 
 def digest(value) -> str:
@@ -264,53 +269,105 @@ def rng_digest(structure) -> str:
                    structure._np_rng.bit_generator.state))
 
 
+def biased_golden(kind: str, verb: str) -> dict:
+    """A biased file (``geo`` or ``multi``) driven to 3,000 records."""
+    bf = STRUCTURES["biased" if kind == "geo" else "biased-multi"]()
+    drive(bf, verb, 0, 3000)
+    bf.check_invariants()
+    items = [(record.key, weight) for record, weight in bf.items()]
+    stats = bf.stats()
+    return {
+        "items_sha256": digest([(k, w.hex()) for k, w in items]),
+        "n_items": len(items),
+        "key_sum": sum(k for k, _ in items),
+        "true_weight_total": bf.true_weight_total(),
+        "total_weight": bf.total_weight,
+        "overflow_events": bf.overflow_events,
+        "flushes": stats.flushes,
+        "seen": stats.seen,
+        "samples_added": stats.samples_added,
+        "clock": stats.clock,
+        "io": io_of(bf),
+        "buffer_keys": sorted(record.key for record in bf.buffer),
+        "full_sample_sha256": digest(
+            sorted(record.key for record in bf.sample())),
+        "rng_sha256": rng_digest(bf),
+    }
+
+
+def baseline_golden(name: str, verb: str) -> dict:
+    """A record-keeping baseline driven to 3,000 records."""
+    structure = _baseline(BASELINES[name])
+    drive(structure, verb, 0, 3000)
+    keys = sorted(record.key for record in structure.sample())
+    stats = structure.stats()
+    return {
+        "full_sample_sha256": digest(keys),
+        "n": len(keys),
+        "key_sum": sum(keys),
+        "flushes": stats.flushes,
+        "seen": stats.seen,
+        "samples_added": stats.samples_added,
+        "clock": stats.clock,
+        "io": io_of(structure),
+        "rng_sha256": rng_digest(structure),
+    }
+
+
+def restore_manifest(text: str):
+    config = GeometricFileConfig(**json.loads(text)["config"])
+    device = SimulatedBlockDevice(
+        GeometricFile.required_blocks(config, TEST_BLOCK),
+        small_disk_params())
+    return load_geometric_file(io.StringIO(text), device, recency_weight)
+
+
+def manifest_continuation(bf) -> dict:
+    """A restored biased file fed ``offer()`` by ``offer()`` to 2,000."""
+    seen = bf.stats().seen
+    for record in stream(seen, 2000):
+        bf.offer(record)
+    bf.check_invariants()
+    items = list(bf.items())
+    stats = bf.stats()
+    return {
+        "resumed_at": seen,
+        "keys": [record.key for record, _ in items],
+        "true_weights": [weight for _, weight in items],
+        "total_weight": bf.total_weight,
+        "overflow_events": bf.overflow_events,
+        "flushes": stats.flushes,
+        "samples_added": stats.samples_added,
+        "buffer_keys": sorted(r.key for r in bf.buffer),
+        "io": io_of(bf),
+    }
+
+
+def compute_goldens() -> dict:
+    """Every golden of the fixture, as this build computes it
+    (``fixtures/record_list_goldens.py`` writes and diffs them)."""
+    return {
+        "baselines": {f"{name}-{verb}": baseline_golden(name, verb)
+                      for name in sorted(BASELINES) for verb in VERBS},
+        "biased": {f"{kind}-{verb}": biased_golden(kind, verb)
+                   for kind in ("geo", "multi") for verb in VERBS},
+        "manifest_continuation": manifest_continuation(
+            restore_manifest(MANIFEST_PATH.read_text())),
+    }
+
+
 class TestRecordListGoldens:
     @pytest.mark.parametrize("verb", VERBS)
     @pytest.mark.parametrize("kind", ["geo", "multi"])
     def test_biased_file(self, kind, verb):
-        bf = STRUCTURES["biased" if kind == "geo" else "biased-multi"]()
-        drive(bf, verb, 0, 3000)
-        bf.check_invariants()
-        items = [(record.key, weight) for record, weight in bf.items()]
-        stats = bf.stats()
-        got = {
-            "items_sha256": digest([(k, w.hex()) for k, w in items]),
-            "n_items": len(items),
-            "key_sum": sum(k for k, _ in items),
-            "true_weight_total": bf.true_weight_total(),
-            "total_weight": bf.total_weight,
-            "overflow_events": bf.overflow_events,
-            "flushes": stats.flushes,
-            "seen": stats.seen,
-            "samples_added": stats.samples_added,
-            "clock": stats.clock,
-            "io": io_of(bf),
-            "buffer_keys": sorted(record.key for record in bf.buffer),
-            "full_sample_sha256": digest(
-                sorted(record.key for record in bf.sample())),
-            "rng_sha256": rng_digest(bf),
-        }
-        assert got == GOLDENS["biased"][f"{kind}-{verb}"]
+        assert (biased_golden(kind, verb)
+                == GOLDENS["biased"][f"{kind}-{verb}"])
 
     @pytest.mark.parametrize("verb", VERBS)
     @pytest.mark.parametrize("name", sorted(BASELINES))
     def test_record_keeping_baseline(self, name, verb):
-        structure = _baseline(BASELINES[name])
-        drive(structure, verb, 0, 3000)
-        keys = sorted(record.key for record in structure.sample())
-        stats = structure.stats()
-        got = {
-            "full_sample_sha256": digest(keys),
-            "n": len(keys),
-            "key_sum": sum(keys),
-            "flushes": stats.flushes,
-            "seen": stats.seen,
-            "samples_added": stats.samples_added,
-            "clock": stats.clock,
-            "io": io_of(structure),
-            "rng_sha256": rng_digest(structure),
-        }
-        assert got == GOLDENS["baselines"][f"{name}-{verb}"]
+        assert (baseline_golden(name, verb)
+                == GOLDENS["baselines"][f"{name}-{verb}"])
 
 
 class TestRecordListManifest:
@@ -318,52 +375,24 @@ class TestRecordListManifest:
         """The manifest keeps the buffer's weights and their epoch
         factor as ``buffer_weights`` / ``buffer_scale`` (a factor other
         than 1) and each ledger's rows as ``record, weight``."""
-        text = (FIXTURES / "biased_record_list_manifest.json").read_text()
+        text = MANIFEST_PATH.read_text()
         state = json.loads(text)
         assert state["buffer_scale"] != 1.0 and state["buffer_count"]
-        config = GeometricFileConfig(**state["config"])
-        device = SimulatedBlockDevice(
-            GeometricFile.required_blocks(config, TEST_BLOCK),
-            small_disk_params())
-        bf = load_geometric_file(io.StringIO(text), device, recency_weight)
+        bf = restore_manifest(text)
         assert bf.weight_epoch == state["buffer_scale"]
-        seen = bf.stats().seen
-        for record in stream(seen, 2000):
-            bf.offer(record)
-        bf.check_invariants()
-        items = list(bf.items())
-        stats = bf.stats()
-        want = GOLDENS["manifest_continuation"]
-        assert seen == want["resumed_at"]
-        assert [record.key for record, _ in items] == want["keys"]
-        assert [weight for _, weight in items] == want["true_weights"]
-        assert bf.total_weight == want["total_weight"]
-        assert bf.overflow_events == want["overflow_events"]
-        assert stats.flushes == want["flushes"]
-        assert stats.samples_added == want["samples_added"]
-        assert sorted(r.key for r in bf.buffer) == want["buffer_keys"]
-        assert io_of(bf) == want["io"]
+        assert (manifest_continuation(bf)
+                == GOLDENS["manifest_continuation"])
 
     def test_resaved_manifest_continues_identically(self):
         """Saved again by this layout (``weight_epoch`` and aux rows),
         the restored file continues exactly as the original does."""
-        text = (FIXTURES / "biased_record_list_manifest.json").read_text()
-        config = GeometricFileConfig(**json.loads(text)["config"])
-        blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
-
-        def restore(source):
-            return load_geometric_file(
-                io.StringIO(source),
-                SimulatedBlockDevice(blocks, small_disk_params()),
-                recency_weight)
-
-        original = restore(text)
+        original = restore_manifest(MANIFEST_PATH.read_text())
         sink = io.StringIO()
         save_geometric_file(original, sink)
         resaved = json.loads(sink.getvalue())
         assert "buffer_weights" not in resaved
         assert resaved["weight_epoch"] == original.weight_epoch != 1.0
-        again = restore(sink.getvalue())
+        again = restore_manifest(sink.getvalue())
         seen = original.stats().seen
         for record in stream(seen, 2000):
             original.offer(record)

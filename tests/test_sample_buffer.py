@@ -1,12 +1,17 @@
 """Unit tests for the Algorithm 2 sample buffer."""
 
 import collections
+import itertools
 import random
 
+import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from repro.core.buffer import SampleBuffer
+from repro.storage.recordbatch import RecordBatch
 from repro.storage.records import Record, RecordSchema
+from test_batch_ingest import P_MIN
 
 SCHEMA = RecordSchema(40)
 
@@ -142,6 +147,55 @@ class TestDrain:
         buf.append_count(5)
         out, count = buf.drain()
         assert out is None and buf.take_aux() is None and count == 5
+
+
+class TestDrainOrder:
+    """Section 4.3's randomized flush order: every drain is uniform
+    over the orders of its rows and independent of the drain before."""
+
+    def drained_orders(self, drains: int):
+        """Key orders of ``drains`` drains of one 4-row slab buffer."""
+        buf = slab_buffer(4, random.Random(11))
+        rows = RecordBatch.from_columns(SCHEMA, range(4))
+        for _ in range(drains):
+            buf.extend_batch(rows)
+            out, _ = buf.drain()
+            yield tuple(out.keys.tolist())
+
+    def test_each_order_equally_often(self):
+        counts = collections.Counter(self.drained_orders(24_000))
+        orders = list(itertools.permutations(range(4)))
+        assert set(counts) <= set(orders)
+        observed = [counts[order] for order in orders]
+        assert scipy_stats.chisquare(observed).pvalue > P_MIN
+
+    def test_consecutive_drains_independent(self):
+        table = np.zeros((4, 4), dtype=np.int64)
+        orders = self.drained_orders(24_000)
+        # zip over one iterator pairs drains 1-2, 3-4, ...
+        for first, second in zip(orders, orders):
+            table[first.index(0), second.index(0)] += 1
+        assert scipy_stats.chi2_contingency(table).pvalue > P_MIN
+
+    def test_drain_takes_one_word(self):
+        """One 64-bit word of the ``random.Random`` per slab drain,
+        nothing of the numpy generator; a count-only drain draws
+        nothing."""
+        rng, np_rng = random.Random(3), np.random.default_rng(3)
+        buf = slab_buffer(4, rng, np_rng=np_rng)
+        buf.extend_batch(RecordBatch.from_columns(SCHEMA, range(4)))
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        np_state = np_rng.bit_generator.state
+        buf.drain()
+        twin.getrandbits(64)
+        assert rng.getstate() == twin.getstate()
+        assert np_rng.bit_generator.state == np_state
+        counting = SampleBuffer(5, rng, np_rng=np_rng)
+        counting.append_count(5)
+        counting.drain()
+        assert rng.getstate() == twin.getstate()
+        assert np_rng.bit_generator.state == np_state
 
 
 class TestWeights:

@@ -6,17 +6,17 @@ objects only at the API edge.  These tests pin what that layout must
 keep:
 
 * **golden simulated disk** -- a slab-fed file that is read every few
-  batches, and a file fed one record at a time through ``offer()``
-  and read with ``sample(k)``, ``sample_batch(k)`` and ``sample()``,
-  end at the exact flush count, clock, seeks and blocks the
-  record-list layout reached, the scalar one also at its admitted and
-  buffered counts (constants recorded from that layout);
-* **RNG budget** -- reads draw from both generators exactly what the
-  record-list reads drew: ``sample_batch(k)`` the pending rows' victims
-  as ``sample(range(D), P)`` from the ``random.Random`` and one
-  ``choice(N, k)`` from the numpy generator, ``sample(k)`` both draws
-  from the ``random.Random`` and nothing from numpy, so reads never
-  move the simulated disk, on the scalar ``offer()`` path either;
+  batches ends at the exact flush count, clock, seeks and blocks the
+  record-list layout reached (its numpy generator alone decides them);
+  a file fed one record at a time through ``offer()`` and read with
+  ``sample(k)``, ``sample_batch(k)`` and ``sample()`` ends at recorded
+  flushes, I/O and admitted and buffered counts, which its
+  ``random.Random`` decides;
+* **RNG budget** -- a default read takes one 64-bit word of the
+  ``random.Random`` (:func:`~repro.reservoir.bulk_generator`) whatever
+  it returns; ``sample_batch(k)`` also one ``choice(size, k)`` of the
+  numpy generator, ``sample(k)`` nothing of it, so reads never move
+  the simulated disk of a batch-fed file;
 * **oracle** -- the k-row gather returns exactly the rows
   materialise-then-thin returns from the same generator states;
 * **no decode** -- ingest, flushes, reads, checkpoints and an inline
@@ -34,18 +34,20 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from conftest import TEST_BLOCK, make_geometric_file, make_multi_file, small_disk_params
 from repro.core.checkpoint import load_geometric_file, save_geometric_file
 from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.core.managed import ManagedSample
 from repro.core.multi import MultiFileConfig, MultipleGeometricFiles
-from repro.reservoir import draw_distinct
+from repro.reservoir import bulk_generator, draw_distinct
 from repro.service import ShardedReservoir
 from repro.storage.device import SimulatedBlockDevice
 from repro.storage.disk_model import DiskParameters
 from repro.storage.recordbatch import RecordBatch, pinned_bytes
 from repro.storage.records import Record, RecordSchema
+from test_batch_ingest import P_MIN
 
 
 def slab(schema: RecordSchema, first: int, n: int,
@@ -136,21 +138,22 @@ def _scalar_golden_run(seed: int, cls, config_cls, **extra) -> tuple:
 
 class TestScalarGoldenFingerprint:
     """The same, plus the admitted and buffered counts, for a file fed
-    through ``offer()``: there the ``random.Random`` decides the counts,
-    so the drain's shuffle and every default read must consume it as
-    the record-list layout did."""
+    through ``offer()``: there the ``random.Random`` decides admissions
+    and joins, and every drain and default read takes one word of it,
+    so the counts are this budget's; on these seeds the flushes, clock,
+    seeks and blocks stayed at the record-list layout's values."""
 
     @pytest.mark.parametrize("seed, expected", [
-        (5, (92, 4.241874999999958, 407, 214, 41943, 824)),
-        (23, (92, 4.209531249999959, 404, 212, 41979, 908)),
+        (5, (92, 4.241874999999958, 407, 214, 41999, 932)),
+        (23, (92, 4.209531249999959, 404, 212, 42054, 929)),
     ])
     def test_geometric_file(self, seed, expected):
         assert _scalar_golden_run(seed, GeometricFile,
                                   GeometricFileConfig) == expected
 
     @pytest.mark.parametrize("seed, expected", [
-        (5, (92, 2.298437499999997, 220, 116, 41943, 824)),
-        (23, (92, 2.298437499999997, 220, 116, 41979, 908)),
+        (5, (92, 2.298437499999997, 220, 116, 41999, 932)),
+        (23, (92, 2.298437499999997, 220, 116, 42054, 929)),
     ])
     def test_multi_file(self, seed, expected):
         assert _scalar_golden_run(seed, MultipleGeometricFiles,
@@ -173,14 +176,10 @@ def _twin_random(state) -> random.Random:
     return twin
 
 
-def _draw_victims(twin: random.Random, gf) -> None:
-    """The record-list read's ``apply_pending`` draw, if it makes one."""
-    pending = gf.buffer.count
-    if pending and not gf.in_startup:
-        twin.sample(range(gf.sample_size), pending)
-
-
 class TestReadRngBudget:
+    """A default read takes one 64-bit word of the ``random.Random``,
+    inside start-up (no victims) and with rows pending alike."""
+
     @pytest.mark.parametrize("n", [1_500, 5_150])
     def test_sample_batch_draws_victims_and_one_choice(self, n):
         gf = make_geometric_file(capacity=2000, buffer_capacity=200,
@@ -191,7 +190,7 @@ class TestReadRngBudget:
         py_twin = _twin_random(gf._rng.getstate())
         gf.sample_batch(60)
         twin.choice(size, size=60, replace=False)
-        _draw_victims(py_twin, gf)
+        py_twin.getrandbits(64)
         assert gf._np_rng.bit_generator.state == twin.bit_generator.state
         assert gf._rng.getstate() == py_twin.getstate()
 
@@ -203,10 +202,10 @@ class TestReadRngBudget:
         state = gf._np_rng.bit_generator.state
         py_twin = _twin_random(gf._rng.getstate())
         assert len(gf.sample(60)) == 60
-        _draw_victims(py_twin, gf)
-        py_twin.sample(range(gf.sample_size), 60)
+        py_twin.getrandbits(64)
+        assert gf._rng.getstate() == py_twin.getstate()
         assert len(gf.sample()) == gf.sample_size
-        _draw_victims(py_twin, gf)
+        py_twin.getrandbits(64)
         assert gf._np_rng.bit_generator.state == state
         assert gf._rng.getstate() == py_twin.getstate()
 
@@ -215,11 +214,11 @@ class TestReadRngBudget:
 
 
 STRUCTURES = {
-    "geo": lambda: make_geometric_file(capacity=2000, buffer_capacity=200,
-                                       admission="always", seed=9),
-    "multi": lambda: make_multi_file(capacity=2000, buffer_capacity=200,
-                                     admission="always", alpha_prime=0.8,
-                                     seed=9),
+    "geo": lambda seed=9: make_geometric_file(
+        capacity=2000, buffer_capacity=200, admission="always", seed=seed),
+    "multi": lambda seed=9: make_multi_file(
+        capacity=2000, buffer_capacity=200, admission="always",
+        alpha_prime=0.8, seed=seed),
 }
 
 MOMENTS = ("startup", "mid-buffer", "after-flush")
@@ -267,14 +266,15 @@ class TestGatherOracle:
             got = structure.sample_batch(k)
             structure._rng.setstate(py_state)
             structure._np_rng.bit_generator.state = np_state
-            want = _materialise_then_thin(structure, k, structure._rng,
-                                          structure._np_rng)
+            want = _materialise_then_thin(
+                structure, k, bulk_generator(structure._rng),
+                structure._np_rng)
             assert np.array_equal(got.array, want)
             py_state = structure._rng.getstate()
             got = structure.sample(k)
             structure._rng.setstate(py_state)
-            want = _materialise_then_thin(structure, k, structure._rng,
-                                          structure._rng)
+            gen = bulk_generator(structure._rng)
+            want = _materialise_then_thin(structure, k, gen, gen)
             assert [record.key for record in got] == list(want["key"])
 
     def test_oversized_read_rejected(self):
@@ -282,6 +282,38 @@ class TestGatherOracle:
         feed(gf, 1_500)
         with pytest.raises(ValueError, match="cannot draw"):
             gf.sample_batch(gf.sample_size + 1)
+
+
+class TestDefaultReadDistribution:
+    """A default ``sample_batch(k)`` with ``b`` of the ``N`` sampled
+    rows pending holds ``k * b / N`` pending rows per read on average
+    (hypergeometric), and every disk row is equally likely to be read:
+    the buffer-vs-disk split materialise-then-thin makes."""
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_pending_share_and_uniform_disk_rows(self, name):
+        k, reads = 500, 10
+        surplus = variance = 0.0
+        disk_hits = np.zeros(2000, dtype=np.int64)
+        for seed in range(20):
+            structure = STRUCTURES[name](seed)
+            reach(structure, "mid-buffer")
+            pending = set(structure.buffer.pending_view()["key"].tolist())
+            disk = np.concatenate([ledger.records.keys for ledger
+                                   in structure.iter_ledgers()])
+            position = {key: i for i, key in enumerate(disk.tolist())}
+            n, share = structure.sample_size, len(pending) / len(disk)
+            assert len(disk) == n == len(disk_hits)
+            for _ in range(reads):
+                keys = structure.sample_batch(k).keys.tolist()
+                held = [key for key in keys if key in pending]
+                surplus += len(held) - k * share
+                variance += k * share * (1 - share) * (n - k) / (n - 1)
+                disk_hits[[position[key] for key in keys
+                           if key not in pending]] += 1
+        z = surplus / variance ** 0.5
+        assert 2 * scipy_stats.norm.sf(abs(z)) > P_MIN
+        assert scipy_stats.chisquare(disk_hits).pvalue > P_MIN
 
 
 # -- no decode ----------------------------------------------------------------

@@ -4,7 +4,8 @@ The ROADMAP's north star is a sample under "heavy traffic from
 millions of users"; this package is the surface those users talk to.
 A :class:`ReservoirServer` owns one engine (typically a
 :class:`~repro.service.ShardedReservoir`) and speaks a length-prefixed
-JSON protocol (:mod:`repro.serve.protocol`); :class:`ServeClient` /
+protocol of JSON control frames and slab-row data frames
+(:mod:`repro.serve.protocol`); :class:`ServeClient` /
 :class:`AsyncServeClient` mirror the unified
 :class:`~repro.core.protocols.Reservoir` protocol over it; and
 :class:`InlineTransport` runs a served session fully in process --

@@ -6,13 +6,22 @@ code written against the protocol runs unchanged whether pointed at a
 local structure or a served one -- and adds the count-only ``ingest``
 fast path plus the ``estimate_*`` AQP conveniences (which draw their
 snapshot over the wire and run the estimator locally, since predicates
-are Python callables that cannot cross a JSON protocol).
+are Python callables that cannot cross the wire).
+
+Records cross the wire only as packed slab rows
+(:mod:`repro.serve.protocol`): a ``RecordBatch`` is sent as it is, and
+a record list is checked and encoded once, here, in the record layout
+``hello`` reports -- a record that layout cannot hold is a
+``ValueError`` before anything is sent.
 
 Backpressure is cooperative: on ``busy`` or ``rate_limited`` the
 client sleeps exactly the server-supplied ``retry_after`` and retries,
 up to ``max_retries`` attempts, so a producer naturally slows to the
 service's admission rate.  Any other error raises
-:class:`ServeError` carrying the wire code.
+:class:`ServeError` carrying the wire code.  A reply the client
+refuses -- too large, torn, or carrying another request's id -- closes
+the session, and every later call raises
+:class:`~repro.serve.transport.TransportClosed` at once.
 
 :class:`AsyncServeClient` is the same surface with ``async`` methods
 over an ``asyncio`` stream connection, for callers already living in
@@ -23,7 +32,6 @@ concurrently).
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from typing import Callable
 
@@ -36,12 +44,12 @@ from .protocol import (
     PROTOCOL_VERSION,
     RETRYABLE_CODES,
     ErrorInfo,
+    FrameError,
     Request,
     Response,
-    decode_records,
+    decode_frame,
     encode_frame,
-    encode_record,
-    encode_records,
+    pack_rows,
 )
 from .transport import InlineTransport, SocketTransport, TransportClosed
 
@@ -63,10 +71,11 @@ class ServeError(RuntimeError):
         self.retry_after = error.retry_after
 
 
-def _encode_batch_arg(records) -> list[list]:
-    """Wire-encode an ``offer_batch`` argument (batch or sequence);
-    a ``RecordBatch`` decodes through its record iterator."""
-    return encode_records(records)
+def _hello_schema(hello: dict) -> RecordSchema | None:
+    """The record layout ``hello`` reports; ``None`` for an engine
+    without one (rows then take the smallest that holds the payloads)."""
+    record_size = int(hello.get("record_size") or 0)
+    return RecordSchema(record_size) if record_size else None
 
 
 class ServeClient:
@@ -115,15 +124,21 @@ class ServeClient:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _call(self, op: str, args: dict | None = None) -> dict:
+    def _call(self, op: str, args: dict | None = None, *,
+              rows: RecordBatch | None = None) -> Response:
         self._next_id += 1
         request = Request(op=op, id=self._next_id, args=args or {},
-                          v=PROTOCOL_VERSION)
+                          v=PROTOCOL_VERSION, rows=rows)
         attempts = 0
         while True:
             response = self._transport.request(request)
+            if response.id != request.id:
+                self._transport.close()
+                raise TransportClosed(
+                    f"reply carries id {response.id}, the request was "
+                    f"{request.id}")
             if response.ok:
-                return response.result or {}
+                return response
             error = response.error
             assert error is not None
             if error.code in RETRYABLE_CODES and attempts < self.max_retries:
@@ -137,30 +152,36 @@ class ServeClient:
     def hello(self) -> dict:
         """Session/engine metadata (cached after the first call)."""
         if self._hello is None:
-            self._hello = self._call("hello")
+            self._hello = self._call("hello").result
         return self._hello
+
+    def _rows(self, records) -> RecordBatch:
+        """An offer's records as rows: a ``RecordBatch`` as it is, a
+        record list packed in the engine's layout."""
+        if isinstance(records, RecordBatch):
+            return records
+        return pack_rows(records, _hello_schema(self.hello()))
 
     # -- Reservoir protocol --------------------------------------------------
 
     def offer(self, record: Record) -> None:
         """Present one stream record to the served reservoir."""
-        self._call("offer", {"record": encode_record(record)})
+        self._call("offer", rows=self._rows([record]))
         if self._hot is not None:
             self._hot.observe(record)
 
     def offer_batch(self, records) -> int:
         """Present a batch (``RecordBatch`` or sequence); returns the
         number admitted."""
-        result = self._call("offer_batch",
-                            {"records": _encode_batch_arg(records)})
+        if not isinstance(records, RecordBatch):
+            records = list(records)
+        response = self._call("offer_batch", rows=self._rows(records))
         if self._hot is not None:
             if isinstance(records, RecordBatch):
                 self._hot.observe_batch(records)
             else:
-                self._hot.observe_many(
-                    records if isinstance(records, (list, tuple))
-                    else list(records))
-        return int(result["admitted"])
+                self._hot.observe_many(records)
+        return int(response.result["admitted"])
 
     def ingest(self, n: int) -> None:
         """Count-only ingestion (cheap load generation)."""
@@ -170,23 +191,20 @@ class ServeClient:
 
     def sample(self, k: int | None = None) -> list[Record]:
         """A uniform random sample of the served union stream."""
-        return decode_records(self._call("sample", {"k": k})["records"])
+        return self._call("sample", {"k": k}).rows.to_records()
 
     def sample_batch(self, k: int | None = None) -> RecordBatch:
         """:meth:`sample` as one columnar :class:`RecordBatch`."""
-        result = self._call("sample_batch", {"k": k})
-        schema = RecordSchema(int(result["record_size"]))
-        return RecordBatch.from_records(schema,
-                                        decode_records(result["records"]))
+        return self._call("sample_batch", {"k": k}).rows
 
     def snapshot(self, k: int | None = None) -> tuple[list[Record], int]:
         """(:meth:`sample` result, union stream position) in one call."""
-        result = self._call("snapshot", {"k": k})
-        return decode_records(result["records"]), int(result["seen"])
+        response = self._call("snapshot", {"k": k})
+        return response.rows.to_records(), int(response.result["seen"])
 
     def stats(self) -> ReservoirStats:
         """The engine's aggregated :class:`ReservoirStats`."""
-        return stats_from_dict(self._call("stats")["stats"])
+        return stats_from_dict(self._call("stats").result["stats"])
 
     def checkpoint(self) -> None:
         """Force the engine to checkpoint durably before returning."""
@@ -303,31 +321,45 @@ class AsyncServeClient:
 
     # -- plumbing ------------------------------------------------------------
 
-    async def _roundtrip(self, request: Request) -> Response:
-        self._writer.write(
-            encode_frame(request.to_wire(), max_frame=self._max_frame))
+    async def _roundtrip(self, frame: bytes) -> Response:
+        self._writer.write(frame)
         await self._writer.drain()
         prefix = await self._reader.readexactly(4)
         length = int.from_bytes(prefix, "big")
         if length > self._max_frame:
-            raise TransportClosed(f"oversized response frame ({length} B)")
+            raise FrameError(f"oversized response frame ({length} B)")
         body = await self._reader.readexactly(length)
-        return Response.from_wire(json.loads(body.decode("utf-8")))
+        return Response.from_wire(decode_frame(prefix + body,
+                                               max_frame=self._max_frame))
 
-    async def _call(self, op: str, args: dict | None = None) -> dict:
+    def _drop(self) -> None:
+        """Close the connection after a failed exchange: the byte
+        stream can no longer be trusted to start at a frame."""
+        self._closed = True
+        self._writer.close()
+
+    async def _call(self, op: str, args: dict | None = None, *,
+                    rows: RecordBatch | None = None) -> Response:
         if self._closed:
             raise TransportClosed("client is closed")
         self._next_id += 1
         request = Request(op=op, id=self._next_id, args=args or {},
-                          v=PROTOCOL_VERSION)
+                          v=PROTOCOL_VERSION, rows=rows)
+        frame = encode_frame(request.to_wire(), max_frame=self._max_frame)
         attempts = 0
         while True:
             try:
-                response = await self._roundtrip(request)
-            except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
-                raise TransportClosed(f"server went away: {exc!r}") from exc
+                response = await self._roundtrip(frame)
+            except (asyncio.IncompleteReadError, OSError, ValueError) as exc:
+                self._drop()
+                raise TransportClosed(f"no usable reply: {exc!r}") from exc
+            if response.id != request.id:
+                self._drop()
+                raise TransportClosed(
+                    f"reply carries id {response.id}, the request was "
+                    f"{request.id}")
             if response.ok:
-                return response.result or {}
+                return response
             error = response.error
             assert error is not None
             if error.code in RETRYABLE_CODES and attempts < self.max_retries:
@@ -341,20 +373,27 @@ class AsyncServeClient:
     async def hello(self) -> dict:
         """Session/engine metadata (cached after the first call)."""
         if self._hello is None:
-            self._hello = await self._call("hello")
+            self._hello = (await self._call("hello")).result
         return self._hello
+
+    async def _rows(self, records) -> RecordBatch:
+        """An offer's records as rows: a ``RecordBatch`` as it is, a
+        record list packed in the engine's layout."""
+        if isinstance(records, RecordBatch):
+            return records
+        return pack_rows(records, _hello_schema(await self.hello()))
 
     # -- Reservoir protocol (async) ------------------------------------------
 
     async def offer(self, record: Record) -> None:
         """Present one stream record to the served reservoir."""
-        await self._call("offer", {"record": encode_record(record)})
+        await self._call("offer", rows=await self._rows([record]))
 
     async def offer_batch(self, records) -> int:
         """Present a batch; returns the number admitted."""
-        result = await self._call("offer_batch",
-                                  {"records": _encode_batch_arg(records)})
-        return int(result["admitted"])
+        response = await self._call("offer_batch",
+                                    rows=await self._rows(records))
+        return int(response.result["admitted"])
 
     async def ingest(self, n: int) -> None:
         """Count-only ingestion (cheap load generation)."""
@@ -362,25 +401,21 @@ class AsyncServeClient:
 
     async def sample(self, k: int | None = None) -> list[Record]:
         """A uniform random sample of the served union stream."""
-        result = await self._call("sample", {"k": k})
-        return decode_records(result["records"])
+        return (await self._call("sample", {"k": k})).rows.to_records()
 
     async def sample_batch(self, k: int | None = None) -> RecordBatch:
         """:meth:`sample` as one columnar :class:`RecordBatch`."""
-        result = await self._call("sample_batch", {"k": k})
-        schema = RecordSchema(int(result["record_size"]))
-        return RecordBatch.from_records(schema,
-                                        decode_records(result["records"]))
+        return (await self._call("sample_batch", {"k": k})).rows
 
     async def snapshot(self, k: int | None = None
                        ) -> tuple[list[Record], int]:
         """(:meth:`sample` result, union stream position) in one call."""
-        result = await self._call("snapshot", {"k": k})
-        return decode_records(result["records"]), int(result["seen"])
+        response = await self._call("snapshot", {"k": k})
+        return response.rows.to_records(), int(response.result["seen"])
 
     async def stats(self) -> ReservoirStats:
         """The engine's aggregated :class:`ReservoirStats`."""
-        return stats_from_dict((await self._call("stats"))["stats"])
+        return stats_from_dict((await self._call("stats")).result["stats"])
 
     async def checkpoint(self) -> None:
         """Force the engine to checkpoint durably before returning."""

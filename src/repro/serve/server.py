@@ -12,15 +12,17 @@ is what makes the twin-run bit-exactness guarantee a statement about
 the server rather than about a test double.
 
 Concurrency model: the engine is not thread-safe, so the asyncio
-front-end funnels every dispatch through a single-worker executor
-thread.  The event loop itself never blocks -- frame I/O, admission
-control, and rate limiting all happen on the loop -- and queries are
-consistent snapshot cuts at the engine's flush frontier (PR 3's
-query-RNG segregation means reads never perturb ingest state, PR 5's
-``flush_barrier`` means they never wait for queued background I/O
-beyond the barrier), so a slow reader cannot stall a writer's
-admission decisions: the writer's requests are either answered or
-pushed back explicitly.
+front-end runs each request's whole :meth:`ReservoirServer.handle_frame`
+on one executor thread, one request at a time: the frame decode,
+:meth:`~ReservoirServer.dispatch` with its rate limit and admission
+check, the engine call, and the response encode.  The event loop only
+moves frames -- it reads each length-prefixed request off its
+connection and writes the reply back -- so it never blocks on the
+engine.  Queries are consistent snapshot cuts at the engine's flush
+frontier (the service's query RNG is segregated, so reads never
+perturb ingest state, and ``flush_barrier`` means they never wait for
+queued background I/O beyond the barrier), but they share that one
+thread with ingest: a slow read delays the requests queued behind it.
 
 Pushback is never implicit queueing.  Ingest ops are admitted only
 while the engine's journal depth (unacknowledged batches across
@@ -44,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
+from ..storage.recordbatch import RecordBatch
 from ..storage.records import RecordSchema
 from .protocol import (
     ERR_BAD_REQUEST,
@@ -60,11 +63,9 @@ from .protocol import (
     Request,
     Response,
     decode_frame,
-    decode_record,
-    decode_records,
     encode_frame,
-    encode_records,
     failure,
+    pack_rows,
     success,
 )
 from .ratelimit import TokenBucket
@@ -137,8 +138,8 @@ class ReservoirServer:
         self.engine = engine
         self.config = config or ServerConfig()
         self._clock = clock
-        # offer_batch rows decode straight into the slabs of a
-        # record-keeping engine; a count-only one gets record lists.
+        # A record-keeping engine takes offered rows as they arrive and
+        # answers in its own layout; a count-only one gets record lists.
         engine_config = getattr(engine, "config", None)
         self._schema = (RecordSchema(engine_config.record_size)
                         if getattr(engine_config, "retain_records", False)
@@ -233,19 +234,19 @@ class ReservoirServer:
                                f"threshold {self.config.admission_depth}",
                                retry_after=retry)
         try:
-            return success(request.id, self._execute(request, session))
+            return self._execute(request, session)
         except (ValueError, TypeError, KeyError) as exc:
             return failure(request.id, ERR_BAD_REQUEST, repr(exc))
         except Exception as exc:  # noqa: BLE001 - the wire must answer
             return failure(request.id, ERR_INTERNAL, repr(exc))
 
-    def _execute(self, request: Request, session: Session) -> dict:
+    def _execute(self, request: Request, session: Session) -> Response:
         """Run one validated op against the engine."""
-        op, args = request.op, request.args
+        op, args, rid = request.op, request.args, request.id
         engine = self.engine
         if op == "hello":
             config = getattr(engine, "config", None)
-            return {
+            return success(rid, {
                 "protocol": PROTOCOL_VERSION,
                 "server": self._obs_name,
                 "engine": getattr(engine, "name", type(engine).__name__),
@@ -253,36 +254,39 @@ class ReservoirServer:
                 "shards": int(getattr(engine, "shards", 1)),
                 "record_size": int(getattr(config, "record_size", 0)),
                 "session": session.id,
-            }
+            })
         if op == "offer":
-            engine.offer(decode_record(args["record"]))
-            return {}
+            rows = self._rows(request)
+            if len(rows) != 1:
+                raise ValueError(f"offer carries one row, not {len(rows)}")
+            engine.offer(rows[0])
+            return success(rid)
         if op == "offer_batch":
+            rows = self._rows(request)
             admitted = engine.offer_batch(
-                decode_records(args["records"], self._schema))
-            return {"admitted": int(admitted)}
+                rows if self._schema is not None else rows.to_records())
+            return success(rid, {"admitted": int(admitted)})
         if op == "ingest":
             n = int(args["n"])
             engine.ingest(n)
-            return {"ingested": n}
+            return success(rid, {"ingested": n})
         if op == "sample":
             records = engine.sample(self._arg_k(args))
-            return {"records": encode_records(records)}
+            return success(rid, rows=pack_rows(records, self._schema))
         if op == "sample_batch":
-            batch = engine.sample_batch(self._arg_k(args))
-            return {"records": encode_records(batch.to_records()),
-                    "record_size": batch.schema.record_size}
+            return success(rid, rows=engine.sample_batch(self._arg_k(args)))
         if op == "snapshot":
             records, seen = engine.snapshot(self._arg_k(args))
-            return {"records": encode_records(records), "seen": int(seen)}
+            return success(rid, {"seen": int(seen)},
+                           pack_rows(records, self._schema))
         if op == "stats":
-            return {"stats": engine.stats().as_dict()}
+            return success(rid, {"stats": engine.stats().as_dict()})
         if op == "checkpoint":
             engine.checkpoint()
-            return {}
+            return success(rid)
         if op == "close":
             self.close_session(session)
-            return {"goodbye": True}
+            return success(rid, {"goodbye": True})
         raise AssertionError(f"unhandled op {op!r}")  # pragma: no cover
 
     @staticmethod
@@ -290,25 +294,46 @@ class ReservoirServer:
         k = args.get("k")
         return None if k is None else int(k)
 
+    def _rows(self, request: Request) -> RecordBatch:
+        """An ingest request's rows, refused unless they are in the
+        engine's record layout."""
+        rows = request.rows
+        if rows is None:
+            raise ValueError(f"{request.op} carries its records as rows "
+                             "in a data frame")
+        if self._schema is not None and rows.schema != self._schema:
+            raise ValueError(
+                f"rows of {rows.schema.record_size} B do not match the "
+                f"engine's {self._schema.record_size}-byte records")
+        return rows
+
     # -- frame-level entry (inline transport + tests) ------------------------
 
     def handle_frame(self, frame: bytes, session: Session) -> bytes:
         """Decode one request frame, dispatch it, encode the response.
 
+        A data frame is validated whole before any state changes: its
+        header CRC and trailer, its header ``seq`` against the envelope
+        ``id``, its byte count against its rows, and (in
+        :meth:`dispatch`) its ``record_size`` against the engine's.
         Malformed frames and bodies earn ``bad_request`` responses
         rather than exceptions -- a wire server answers, it does not
-        crash.
+        crash -- and so does a reply too large for ``max_frame``.
         """
+        max_frame = self.config.max_frame
         try:
-            body = decode_frame(frame, max_frame=self.config.max_frame)
-            request = Request.from_wire(body)
-        except (FrameError, ValueError, UnicodeDecodeError) as exc:
+            request = Request.from_wire(decode_frame(frame,
+                                                     max_frame=max_frame))
+        except (FrameError, ValueError, TypeError) as exc:
             response = failure(0, ERR_BAD_REQUEST, repr(exc))
-            return encode_frame(response.to_wire(),
-                                max_frame=self.config.max_frame)
-        response = self.dispatch(request, session)
-        return encode_frame(response.to_wire(),
-                            max_frame=self.config.max_frame)
+        else:
+            response = self.dispatch(request, session)
+        try:
+            return encode_frame(response.to_wire(), max_frame=max_frame)
+        except FrameError as exc:
+            return encode_frame(failure(response.id, ERR_BAD_REQUEST,
+                                        repr(exc)).to_wire(),
+                                max_frame=max_frame)
 
     # -- graceful drain ------------------------------------------------------
 

@@ -14,7 +14,10 @@ Two ways to reach a :class:`~repro.serve.server.ReservoirServer`:
   synchronous :class:`~repro.serve.client.ServeClient`.
 
 Both expose the same two methods (``request``, ``close``), which is
-all the client SDK needs.
+all the client SDK needs.  A reply either transport cannot decode
+(too large, torn, or not a frame at all) closes it: the byte stream
+can no longer be trusted, so every later request raises
+:class:`TransportClosed` at once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .protocol import (
     FrameDecoder,
     Request,
     Response,
+    decode_frame,
     encode_frame,
 )
 
@@ -52,15 +56,15 @@ class InlineTransport:
         """Encode, dispatch, decode one request."""
         if self._closed:
             raise TransportClosed("inline transport is closed")
-        frame = encode_frame(request.to_wire(),
-                             max_frame=self._server.config.max_frame)
+        max_frame = self._server.config.max_frame
+        frame = encode_frame(request.to_wire(), max_frame=max_frame)
         reply = self._server.handle_frame(frame, self._session)
-        decoder = FrameDecoder(max_frame=self._server.config.max_frame)
-        bodies = list(decoder.feed(reply))
-        if len(bodies) != 1 or decoder.pending:
-            raise TransportClosed(
-                f"server returned {len(bodies)} frames for one request")
-        return Response.from_wire(bodies[0])
+        try:
+            return Response.from_wire(decode_frame(reply,
+                                                   max_frame=max_frame))
+        except ValueError as exc:
+            self.close()
+            raise TransportClosed(f"refused a reply: {exc}") from exc
 
     def close(self) -> None:
         """Retire the session (idempotent)."""
@@ -91,16 +95,16 @@ class SocketTransport:
         """Write one request frame; block for the response frame."""
         if self._closed:
             raise TransportClosed("socket transport is closed")
+        frame = encode_frame(request.to_wire(), max_frame=self._max_frame)
         try:
-            self._sock.sendall(
-                encode_frame(request.to_wire(), max_frame=self._max_frame))
+            self._sock.sendall(frame)
             while True:
                 data = self._sock.recv(65536)
                 if not data:
                     raise TransportClosed("server closed the connection")
                 for body in self._decoder.feed(data):
                     return Response.from_wire(body)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             self.close()
             raise TransportClosed(f"transport failed: {exc!r}") from exc
 

@@ -26,7 +26,7 @@ See docs/SERVICE.md for the architecture, the uniformity proof sketch,
 the failure model, and backpressure semantics.
 """
 
-from .merge import allocate_counts, merge_shard_samples
+from .merge import allocate_counts, merge_shard_batches
 from .partition import (
     HashPartitioner,
     RoundRobinPartitioner,
@@ -56,7 +56,7 @@ __all__ = [
     "allocate_counts",
     "default_device_spec",
     "make_partitioner",
-    "merge_shard_samples",
+    "merge_shard_batches",
     "mix64",
     "shard_directory",
     "worker_main",

@@ -48,42 +48,6 @@ def allocate_counts(rng: np.random.Generator, seen: Sequence[int],
     return draw_victim_counts(rng, list(seen), k)
 
 
-def merge_shard_samples(rng: np.random.Generator,
-                        payloads: Sequence[dict], k: int) -> list[Record]:
-    """Merge per-shard ``sample`` replies into a uniform ``k``-sample.
-
-    Args:
-        rng: the supervisor's merge RNG (allocation and final shuffle).
-        payloads: one worker ``sample`` payload per shard, each with
-            ``seen``, ``size``, and uniformly-ordered ``records``.
-        k: requested merged sample size.
-
-    Raises:
-        ValueError: when the allocation lands a shard a count larger
-            than the records it returned.  Two distinct causes, both
-            actionable: the shard returned fewer than ``min(k, size)``
-            records (caller bug), or ``k`` exceeds a shard's reservoir
-            size while its ``seen`` keeps drawing allocation toward it
-            (ask for ``k`` at most the smallest shard reservoir).
-    """
-    seen = [p["seen"] for p in payloads]
-    counts = allocate_counts(rng, seen, k)
-    merged: list[Record] = []
-    for payload, count in zip(payloads, counts):
-        if count > len(payload["records"]):
-            raise ValueError(
-                f"allocation wants {count} records from a shard that "
-                f"returned {len(payload['records'])} (reservoir size "
-                f"{payload['size']}); request k no larger than the "
-                f"smallest shard reservoir"
-            )
-        merged.extend(payload["records"][:count])
-    # A uniform subset is exchangeable; the shuffle only removes the
-    # by-shard grouping from the returned order.
-    order = rng.permutation(len(merged))
-    return [merged[i] for i in order]
-
-
 def merge_weighted_samples(rng: np.random.Generator,
                            payloads: Sequence[dict],
                            k: int) -> list[Record]:
@@ -114,14 +78,33 @@ def merge_weighted_samples(rng: np.random.Generator,
 
 def merge_shard_batches(rng: np.random.Generator,
                         payloads: Sequence[dict], k: int, schema):
-    """Columnar :func:`merge_shard_samples`: one ``RecordBatch`` out.
+    """Merge per-shard ``sample`` replies into a uniform ``k``-sample,
+    returned as one ``RecordBatch``.
 
     Each shard's allocated prefix is encoded into the schema's
-    structured dtype once, the pieces are concatenated, and the
-    de-grouping shuffle is a single row permutation.  Consumes the
-    merge RNG identically to the scalar helper (one allocation draw,
-    one permutation), so the two return the same sample multiset from
-    the same generator state.
+    structured dtype once (a reply that is already a slab is used as
+    it is), the pieces are concatenated, and the de-grouping shuffle is
+    a single row permutation.  It is the service's one uniform merge,
+    behind ``sample(k)`` and ``sample_batch(k)`` alike, and it uses the
+    merge RNG exactly as the record-list ``merge_shard_samples`` it
+    replaced did: one allocation draw (:func:`allocate_counts`), then
+    one ``permutation`` of the merged rows.
+
+    Args:
+        rng: the supervisor's merge RNG (allocation and final shuffle).
+        payloads: one worker ``sample`` payload per shard, each with
+            ``seen``, ``size``, and uniformly-ordered ``records`` (a
+            ``RecordBatch`` or a record list).
+        k: requested merged sample size.
+        schema: the service's record schema.
+
+    Raises:
+        ValueError: when the allocation lands a shard a count larger
+            than the records it returned.  Two distinct causes, both
+            actionable: the shard returned fewer than ``min(k, size)``
+            records (caller bug), or ``k`` exceeds a shard's reservoir
+            size while its ``seen`` keeps drawing allocation toward it
+            (ask for ``k`` at most the smallest shard reservoir).
     """
     from ..storage.recordbatch import RecordBatch
 

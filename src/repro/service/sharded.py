@@ -39,11 +39,7 @@ from ..storage.device import DeviceSpec
 from ..storage.disk_model import DiskParameters
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record, RecordSchema
-from .merge import (
-    merge_shard_batches,
-    merge_shard_samples,
-    merge_weighted_samples,
-)
+from .merge import merge_shard_batches, merge_weighted_samples
 from .partition import make_partitioner
 from .pool import InlinePool, ProcessPool, ShardDead
 from .shm import DEFAULT_RING_BYTES
@@ -307,14 +303,6 @@ class ShardedReservoir:
         shard, so no larger ``k`` is safe under every partition)."""
         return self.config.capacity if k is None else k
 
-    def _merge_samples(self, payloads: list[dict], k: int) -> list[Record]:
-        """Law-appropriate merge of shard ``sample`` replies: the
-        hypergeometric allocation for uniform shards, the global
-        top-``k``-by-key rank for keyed (A-ExpJ) shards."""
-        if self._keyed_merge:
-            return merge_weighted_samples(self._merge_rng, payloads, k)
-        return merge_shard_samples(self._merge_rng, payloads, k)
-
     def sample(self, k: int | None = None) -> list[Record]:
         """A uniform random ``k``-subset of the whole union stream.
 
@@ -328,31 +316,23 @@ class ShardedReservoir:
         size (the hypergeometric allocation can land up to ``k`` on
         one shard); with balanced partitions that means roughly
         ``k <= capacity_per_shard`` -- which is also the ``k=None``
-        default.
+        default.  The records are :meth:`sample_batch`'s rows, decoded
+        once.
         """
-        k = self._resolve_k(k)
-        payloads = self._broadcast_query("sample", k)
-        merged = self._merge_samples(payloads, k)
-        self._emit("merged_query", k=k,
-                   seen=sum(p["seen"] for p in payloads))
-        return merged
+        return self.sample_batch(k).to_records()
 
     def snapshot(self, k: int | None = None) -> tuple[list[Record], int]:
         """Like :meth:`sample`, also returning the union ``seen`` total
         (the population size AQP estimators scale by)."""
-        k = self._resolve_k(k)
-        payloads = self._broadcast_query("sample", k)
-        merged = self._merge_samples(payloads, k)
-        seen = sum(p["seen"] for p in payloads)
-        self._emit("merged_query", k=k, seen=seen)
-        return merged, seen
+        batch, seen = self.snapshot_batch(k)
+        return batch.to_records(), seen
 
     def sample_batch(self, k: int | None = None) -> RecordBatch:
         """:meth:`sample` as one :class:`RecordBatch` (columnar merge).
 
-        Same snapshot semantics and the same merge-RNG consumption as
-        :meth:`sample`; shard replies are encoded once into the shared
-        record dtype and merged without per-record Python work.
+        Shard replies are merged as slabs, without per-record Python
+        work: the hypergeometric allocation for uniform shards, the
+        global top-``k``-by-key rank for keyed (A-ExpJ) shards.
         """
         k = self._resolve_k(k)
         payloads = self._broadcast_query("sample", k)

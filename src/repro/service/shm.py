@@ -28,6 +28,8 @@ The header carries its own checksum and the trailer repeats the
 sequence word, so a frame written by a worker that died mid-copy is
 *detected* (:class:`TornSlabError`) rather than decoded as garbage --
 the supervisor's journal replay, not the ring, is the durability story.
+The serving layer's data frames (:mod:`repro.serve.protocol`) are the
+same frame without the padding, so socket and ring share this codec.
 
 Publication.  ``head`` (bytes consumed) and ``tail`` (bytes produced)
 are monotonically increasing 64-bit counters in the segment's control
@@ -120,19 +122,23 @@ def decode_header(buf) -> tuple[int, int, int, int, int]:
     """Unpack and validate a frame header.
 
     Returns ``(kind, flags, seq, n_records, n_bytes)``; raises
-    :class:`TornSlabError` on a bad magic word or checksum mismatch
-    (the two signatures of a torn or misaligned write).
+    :class:`TornSlabError` on a bad magic word, a checksum mismatch or
+    a nonzero reserved word (the signatures of a torn or misaligned
+    write), so no byte of a header changes unnoticed.
     """
     if len(buf) < HEADER_BYTES:
         raise TornSlabError(
             f"frame header truncated: {len(buf)} of {HEADER_BYTES} bytes")
-    magic, kind, flags, seq, n_records, n_bytes, checksum, _ = (
+    magic, kind, flags, seq, n_records, n_bytes, checksum, reserved = (
         _HEADER.unpack_from(buf))
     if magic != SLAB_MAGIC:
         raise TornSlabError(f"bad slab magic 0x{magic:08X}")
     if checksum != _header_checksum(kind, flags, seq, n_records, n_bytes):
         raise TornSlabError(
             f"slab header checksum mismatch at seq {seq}")
+    if reserved:
+        raise TornSlabError(
+            f"slab header reserved word is 0x{reserved:08X}, not 0")
     return kind, flags, seq, n_records, n_bytes
 
 

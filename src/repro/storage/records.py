@@ -42,8 +42,13 @@ MIN_RECORD_SIZE = _HEADER.size
 #: The range of the header's signed 64-bit key field.
 _KEY_MIN, _KEY_MAX = -(1 << 63), (1 << 63) - 1
 
+#: Codecs kept per record size.  Bounded, because a record size can
+#: arrive from outside (a served data frame names its own), and each
+#: cached size holds about a kilobyte.
+_CODEC_CACHE = 64
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CODEC_CACHE)
 def _full_struct(record_size: int) -> struct.Struct:
     """One compiled codec for a whole record slot.
 
@@ -55,7 +60,7 @@ def _full_struct(record_size: int) -> struct.Struct:
     return struct.Struct("<qdd" + (f"{pad}s" if pad else ""))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CODEC_CACHE)
 def _batch_dtype(record_size: int) -> np.dtype:
     """Packed structured dtype matching the scalar codec byte-for-byte."""
     fields = [("key", "<i8"), ("value", "<f8"), ("timestamp", "<f8")]

@@ -9,9 +9,13 @@ the same dispatch path the asyncio front-end uses (which
 """
 
 import collections
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.geometric_file import GeometricFileConfig
 from repro.serve import (
@@ -28,20 +32,25 @@ from repro.serve import (
     ServeError,
     ServerConfig,
     TokenBucket,
+    TransportClosed,
 )
 from repro.serve.protocol import (
     RETRYABLE_CODES,
     decode_frame,
-    decode_record,
-    decode_records,
     encode_frame,
-    encode_record,
-    encode_records,
     failure,
+    pack_rows,
     success,
 )
 from repro.service import ShardedReservoir
-from repro.storage import Record, RecordSchema
+from repro.service.shm import (
+    HEADER_BYTES,
+    KIND_DATA,
+    TRAILER_BYTES,
+    encode_header,
+    encode_trailer,
+)
+from repro.storage import Record, RecordBatch, RecordSchema
 
 from test_batch_ingest import P_MIN, chi_square_p
 from test_biased_file import make_biased
@@ -91,35 +100,6 @@ class TestFraming:
         with pytest.raises(FrameError):
             list(FrameDecoder(max_frame=1024).feed(huge))
 
-    def test_record_codec_round_trip_with_payload(self):
-        records = keyed_records(10, payload=True)
-        wired = json.loads(json.dumps(encode_records(records)))
-        assert decode_records(wired) == records
-
-    def test_record_codec_preserves_float_values_exactly(self):
-        record = Record(key=3, value=0.1 + 0.2, timestamp=1 / 3)
-        assert decode_record(json.loads(
-            json.dumps(encode_record(record)))) == record
-
-    def test_batch_decode_matches_record_decode(self):
-        """The column decode a record-keeping server uses takes the
-        record codec's conversions, and its failures are ValueErrors
-        or TypeErrors as the record codec's are."""
-        schema = RecordSchema(32)
-        # (Record 0's all-zero payload would read back stripped.)
-        wire = encode_records(keyed_records(30, payload=True)[1:])
-        wire.append(["7", "2.5", 1, ""])  # int()/float() convert these
-        batch = decode_records(wire, schema)
-        assert batch.to_records() == decode_records(wire)
-        with pytest.raises(ValueError, match="out of range"):
-            decode_records([[2 ** 70, 0.0, 0.0, ""]], schema)
-        with pytest.raises(ValueError, match="out of range"):
-            decode_records([[1, 10 ** 400, 0.0, ""]], schema)
-        with pytest.raises(TypeError):
-            decode_records([[1, None, 0.0, ""]], schema)
-        with pytest.raises(TypeError):
-            decode_record([1, None, 0.0, ""])
-
     def test_request_response_wire_round_trip(self):
         request = Request(op="sample", id=12, args={"k": 5})
         assert Request.from_wire(request.to_wire()) == request
@@ -135,6 +115,205 @@ class TestFraming:
         assert set(RETRYABLE_CODES) <= set(ERROR_CODES)
         assert "busy" in RETRYABLE_CODES
         assert "rate_limited" in RETRYABLE_CODES
+
+    def test_pack_rows_checks_and_sizes_the_layout(self):
+        # (Record 0's all-NUL payload would read back stripped.)
+        records = keyed_records(6, payload=True)[1:] + [
+            Record(key=-1, value=-0.0, timestamp=float("-inf"),
+                   payload=b"\x00ab\x00")]
+        rows = pack_rows(records, RecordSchema(32))
+        assert rows.schema.record_size == 32
+        # The slot contract: trailing NULs are dropped, nothing else.
+        assert rows.to_records()[:5] == records[:5]
+        assert rows.to_records()[5].payload == b"\x00ab"
+        # With no layout, the smallest one that holds every payload.
+        assert pack_rows(records).schema.record_size == 24 + 4
+        assert pack_rows([]).schema.record_size == 24
+        with pytest.raises(ValueError, match="payload slot"):
+            pack_rows([Record(key=1, payload=b"x" * 9)], RecordSchema(32))
+        with pytest.raises(ValueError, match="64-bit key field"):
+            pack_rows([Record(key=2 ** 63)], RecordSchema(32))
+
+
+# -- data frames --------------------------------------------------------------
+
+#: Float bit patterns JSON cannot carry exactly: NaNs with payload bits
+#: (both signs), -0.0 and the infinities.
+SPECIAL_BITS = (0x7FF8_0000_0000_0001, 0xFFF4_0000_0000_0BAD,
+                0x8000_0000_0000_0000, 0x7FF0_0000_0000_0000,
+                0xFFF0_0000_0000_0000)
+
+
+def random_rows(record_size, n, seed, specials=()):
+    """``n`` rows of arbitrary bytes (every key, float and payload bit
+    pattern is fair game), with ``specials`` planted as
+    ``(row, field, bits)``."""
+    schema = RecordSchema(record_size)
+    raw = np.random.default_rng(seed).integers(
+        0, 256, n * record_size, dtype=np.uint8)
+    array = raw.view(schema.dtype)
+    for row, name, bits in specials:
+        if n:
+            array[name][row % n:row % n + 1].view(np.uint64)[0] = bits
+    return RecordBatch(schema, array)
+
+
+def data_frame(rows, envelope, *, seq=None, n_records=None, n_bytes=None,
+               trailer_seq=None):
+    """A data frame assembled by hand, so single fields can lie."""
+    data = rows.to_bytes()
+    seq = envelope["id"] if seq is None else seq
+    body = b"".join((
+        encode_header(KIND_DATA, 0, seq,
+                      len(rows) if n_records is None else n_records,
+                      len(data) if n_bytes is None else n_bytes),
+        data,
+        encode_trailer(seq if trailer_seq is None else trailer_seq),
+        json.dumps({**envelope,
+                    "record_size": rows.schema.record_size}).encode()))
+    return len(body).to_bytes(4, "big") + body
+
+
+def feed_in_chunks(stream, sizes):
+    decoder = FrameDecoder()
+    out, at, i = [], 0, 0
+    while at < len(stream):
+        size = sizes[i % len(sizes)]
+        out.extend(decoder.feed(stream[at:at + size]))
+        at, i = at + size, i + 1
+    assert not decoder.pending
+    return out
+
+
+class TestDataFrames:
+    @given(record_size=st.integers(24, 128), n=st.integers(0, 300),
+           seed=st.integers(0, 2 ** 32 - 1),
+           specials=st.lists(st.tuples(
+               st.integers(0, 299), st.sampled_from(["value", "timestamp"]),
+               st.sampled_from(SPECIAL_BITS) | st.integers(0, 2 ** 64 - 1)),
+               max_size=8),
+           request_id=st.integers(0, 2 ** 64 - 1),
+           args=st.dictionaries(st.text(max_size=8),
+                                st.integers() | st.text(max_size=8),
+                                max_size=3),
+           sizes=st.lists(st.integers(1, 4096), min_size=1, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_through_split_feeds(self, record_size, n, seed,
+                                            specials, request_id, args,
+                                            sizes):
+        """encode_frame, then a FrameDecoder fed in arbitrary chunk
+        splits, returns byte-identical rows and the same envelope."""
+        rows = random_rows(record_size, n, seed, specials)
+        envelope = {"v": PROTOCOL_VERSION, "id": request_id,
+                    "op": "offer_batch", "args": args}
+        control = {"v": PROTOCOL_VERSION, "id": 1, "op": "stats",
+                   "args": {}}
+        stream = (encode_frame({**envelope, "rows": rows})
+                  + encode_frame(control)
+                  + encode_frame({**envelope, "rows": rows}))
+        first, middle, last = feed_in_chunks(stream, sizes)
+        assert middle == control
+        for body in (first, last):
+            got = body.pop("rows")
+            assert body == envelope
+            assert got.schema == rows.schema
+            assert got.to_bytes() == rows.to_bytes()
+
+    def test_response_rows_round_trip_exactly(self):
+        rows = random_rows(40, 17, 3, [(i, "value", bits)
+                                       for i, bits in enumerate(SPECIAL_BITS)])
+        response = success(9, {"seen": 5}, rows)
+        got = Response.from_wire(decode_frame(encode_frame(
+            response.to_wire())))
+        assert (got.id, got.ok, got.result) == (9, True, {"seen": 5})
+        assert got.rows.to_bytes() == rows.to_bytes()
+
+    @given(position=st.integers(0, HEADER_BYTES + TRAILER_BYTES - 1),
+           mask=st.integers(1, 255))
+    @settings(max_examples=150, deadline=None)
+    def test_any_flipped_header_or_trailer_byte_is_refused(self, position,
+                                                           mask):
+        rows = random_rows(32, 3, 1)
+        frame = bytearray(encode_frame({"v": 2, "id": 7, "op": "offer_batch",
+                                        "args": {}, "rows": rows}))
+        # Past the header, the position lands in the trailer.
+        at = 4 + position + (3 * 32 if position >= HEADER_BYTES else 0)
+        frame[at] ^= mask
+        with pytest.raises(FrameError):
+            decode_frame(bytes(frame))
+        with pytest.raises(FrameError):
+            list(FrameDecoder().feed(bytes(frame)))
+
+    def test_lying_fields_and_truncation_are_refused(self):
+        for frame in corrupt_frames():
+            with pytest.raises(FrameError):
+                decode_frame(frame)
+
+    def test_record_sizes_from_the_wire_are_bounded(self):
+        """A record size no frame could carry is refused, and decoding
+        frames of many distinct sizes keeps the codec caches bounded."""
+        from repro.storage.records import _batch_dtype, _full_struct
+
+        for record_size in (23, 2 ** 31, 2 ** 70, "32", None):
+            with pytest.raises(FrameError, match="record_size"):
+                decode_frame(sized_frame(record_size))
+        for record_size in range(24, 24 + 500):
+            decode_frame(sized_frame(record_size))
+        for cache in (_full_struct, _batch_dtype):
+            info = cache.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
+
+    def test_corrupt_frames_leave_the_engine_untouched(self, tmp_path):
+        """Through handle_frame every corrupt frame answers bad_request
+        before any state changes."""
+        engine = make_engine(tmp_path / "svc")
+        server = ReservoirServer(engine)
+        session = server.open_session()
+        try:
+            engine.offer_batch(keyed_records(100))
+            seen, depth = engine.stats().seen, engine.journal_depth
+            # Rows in another layout, even ones the engine could hold.
+            wide = pack_rows([Record(key=7)], RecordSchema(40))
+            for frame in corrupt_frames() + [
+                    sized_frame(2 ** 31),
+                    data_frame(random_rows(40, 2, 0), OFFER),
+                    data_frame(wide, {**OFFER, "op": "offer"})]:
+                reply = Response.from_wire(decode_frame(
+                    server.handle_frame(frame, session)))
+                assert reply.error.code == "bad_request"
+            assert engine.stats().seen == seen
+            assert engine.journal_depth == depth
+        finally:
+            engine.close()
+
+
+OFFER = {"v": PROTOCOL_VERSION, "id": 5, "op": "offer_batch", "args": {}}
+
+
+def sized_frame(record_size):
+    """An empty data frame whose envelope names ``record_size``."""
+    body = b"".join((encode_header(KIND_DATA, 0, 5, 0, 0), encode_trailer(5),
+                     json.dumps({**OFFER, "record_size": record_size})
+                     .encode()))
+    return len(body).to_bytes(4, "big") + body
+
+
+def corrupt_frames():
+    """Data frames that must never reach an engine: a header seq that
+    is not the envelope id, a row count that disagrees with n_bytes,
+    and truncated bodies (short of the prefix, and cut then
+    re-prefixed)."""
+    rows = random_rows(32, 4, 2)
+    good = data_frame(rows, OFFER)
+    cut = good[4:4 + HEADER_BYTES + 2 * 32]
+    return [
+        data_frame(rows, OFFER, seq=6),
+        data_frame(rows, OFFER, n_records=3),
+        data_frame(rows, OFFER, n_records=5, n_bytes=5 * 32),
+        good[:-1],
+        len(cut).to_bytes(4, "big") + cut,
+    ]
 
 
 # -- token bucket ------------------------------------------------------------
@@ -212,9 +391,14 @@ def stub_server(**config):
     return server, server.open_session()
 
 
-def call(server, session, op, args=None, *, v=PROTOCOL_VERSION, id=1):
-    return server.dispatch(Request(op=op, id=id, args=args or {}, v=v),
-                           session)
+def call(server, session, op, args=None, *, v=PROTOCOL_VERSION, id=1,
+         rows=None):
+    return server.dispatch(Request(op=op, id=id, args=args or {}, v=v,
+                                   rows=rows), session)
+
+
+#: An offer of no records.
+NO_ROWS = RecordBatch.empty(RecordSchema(32))
 
 
 class TestDispatch:
@@ -246,7 +430,7 @@ class TestDispatch:
         server, session = stub_server(admission_depth=4,
                                       busy_retry_per_message=0.01)
         server.engine.journal_depth = 14
-        response = call(server, session, "offer_batch", {"records": []})
+        response = call(server, session, "offer_batch", rows=NO_ROWS)
         assert response.error.code == "busy"
         assert response.error.retry_after == pytest.approx(0.1)
         assert server.busy_rejections == 1
@@ -273,7 +457,7 @@ class TestDispatch:
         assert server.engine.checkpoints == 1
         assert call(server, session, "sample").error.code == "shutting_down"
         assert call(server, session, "offer_batch",
-                    {"records": []}).error.code == "shutting_down"
+                    rows=NO_ROWS).error.code == "shutting_down"
         assert call(server, session, "hello").ok
         assert call(server, session, "close").ok
         assert session.closed
@@ -290,11 +474,48 @@ class TestDispatch:
         bad_request from the stub engine, never unknown_op."""
         for op in OPS:
             server, session = stub_server()
-            response = call(server, session, op, {"records": [], "n": 0,
-                                                  "record": [1, 1.0, 0.0,
-                                                             ""]})
+            response = call(server, session, op, {"n": 0}, rows=NO_ROWS)
             if not response.ok:
                 assert response.error.code == "bad_request", op
+
+    def test_v1_request_is_refused(self):
+        """A version-1 client (JSON record lists) is told the version
+        is unsupported, whatever it sends."""
+        server, session = stub_server()
+        frame = encode_frame({"v": 1, "id": 3, "op": "offer_batch",
+                              "args": {"records": [[1, 0.0, 0.0, ""]]}})
+        reply = Response.from_wire(decode_frame(
+            server.handle_frame(frame, session)))
+        assert (reply.id, reply.error.code) == (3, "unsupported_version")
+        assert server.engine.offered == []
+
+    def test_malformed_envelopes_answer_bad_request(self):
+        """An envelope field of the wrong type, or an id that cannot be
+        a data frame's 64-bit seq, is refused on arrival (the reply to
+        a sample would otherwise fail to encode)."""
+        server, session = stub_server()
+        for fields in ({"id": -1}, {"id": 2 ** 64}, {"id": [1]},
+                       {"v": {}}):
+            body = {"v": PROTOCOL_VERSION, "id": 1, "op": "sample",
+                    "args": {"k": 0}, **fields}
+            reply = Response.from_wire(decode_frame(server.handle_frame(
+                encode_frame(body), session)))
+            assert (reply.id, reply.error.code) == (0, "bad_request")
+
+    def test_rows_travel_only_in_a_data_frame(self):
+        """An ingest op without rows, or with a JSON ``rows`` list,
+        answers bad_request."""
+        server, session = stub_server()
+        response = call(server, session, "offer_batch")
+        assert response.error.code == "bad_request"
+        body = json.dumps({"v": PROTOCOL_VERSION, "id": 4,
+                           "op": "offer_batch", "args": {},
+                           "rows": [[1, 0.0, 0.0, ""]]}).encode()
+        reply = server.handle_frame(len(body).to_bytes(4, "big") + body,
+                                    session)
+        assert Response.from_wire(decode_frame(reply)).error.code == \
+            "bad_request"
+        assert server.engine.offered == []
 
 
 # -- client retry behaviour --------------------------------------------------
@@ -341,19 +562,28 @@ class TestClientRetries:
 
 class TestServedValidation:
     def test_overlong_payload_answers_bad_request(self, tmp_path):
-        """The engine's payload-width guard reaches a served client as
-        ``bad_request``, and the engine state is untouched."""
+        """A payload wider than the engine's slot is a ``ValueError`` at
+        the client, which sends nothing; rows in a wider layout, sent
+        raw, answer ``bad_request``.  Either way the engine state is
+        untouched."""
         engine = make_engine(tmp_path / "svc")
-        client = ServeClient.in_process(ReservoirServer(engine))
+        server = ReservoirServer(engine)
+        client = ServeClient.in_process(server)
         try:
             client.offer_batch(keyed_records(20))
-            depth = engine.journal_depth
+            depth, served = engine.journal_depth, server.requests_served
             batch = keyed_records(5, start=100) + [
                 Record(key=105, payload=b"x" * (32 - 24 + 1))]
-            with pytest.raises(ServeError) as excinfo:
+            with pytest.raises(ValueError, match="record 105"):
                 client.offer_batch(batch)
-            assert excinfo.value.code == "bad_request"
-            assert "record 105" in str(excinfo.value)
+            assert server.requests_served == served
+            wide = pack_rows(batch, RecordSchema(40))
+            reply = Response.from_wire(decode_frame(server.handle_frame(
+                encode_frame(Request(op="offer_batch", id=99,
+                                     rows=wide).to_wire()),
+                server.open_session())))
+            assert reply.error.code == "bad_request"
+            assert "40 B" in reply.error.message
             assert engine.journal_depth == depth
             assert client.stats().seen == 20
         finally:
@@ -362,25 +592,60 @@ class TestServedValidation:
 
 
     def test_out_of_range_key_answers_bad_request(self, tmp_path):
-        """A key past 64 bits cannot enter a slab: the batch decode and
-        the engine's record guard answer ``bad_request`` before any
-        state changes."""
+        """A key past 64 bits cannot enter a slab: the client refuses
+        it with a ``ValueError`` before anything is sent, for a batch
+        and for a single offer."""
         engine = make_engine(tmp_path / "svc")
         server = ReservoirServer(engine)
-        session = server.open_session()
+        client = ServeClient.in_process(server)
         try:
-            call(server, session, "offer_batch",
-                 {"records": encode_records(keyed_records(20))})
-            response = call(server, session, "offer_batch", {"records": [
-                encode_record(Record(key=1)), [2 ** 70, 0.0, 0.0, ""]]})
-            assert response.error.code == "bad_request"
-            assert "out of range" in response.error.message
-            response = call(server, session, "offer",
-                            {"record": [2 ** 70, 0.0, 0.0, ""]})
-            assert response.error.code == "bad_request"
-            assert "64-bit key field" in response.error.message
+            client.offer_batch(keyed_records(20))
+            served = server.requests_served
+            with pytest.raises(ValueError, match="64-bit key field"):
+                client.offer_batch([Record(key=1), Record(key=2 ** 70)])
+            with pytest.raises(ValueError, match="64-bit key field"):
+                client.offer(Record(key=2 ** 70))
+            assert server.requests_served == served
             assert engine.stats().seen == 20
         finally:
+            client.close()
+            engine.close()
+
+
+class TestRefusedReplies:
+    def test_a_reply_over_max_frame_answers_bad_request(self, tmp_path):
+        """The server answers a reply it cannot frame instead of
+        dropping the session."""
+        engine = make_engine(tmp_path / "svc")
+        client = ServeClient.in_process(
+            ReservoirServer(engine, ServerConfig(max_frame=600)))
+        try:
+            for start in range(0, 400, 10):
+                client.offer_batch(keyed_records(10, start=start))
+            with pytest.raises(ServeError, match="600-byte limit") as info:
+                client.sample(100)
+            assert info.value.code == "bad_request"
+            assert len(client.sample(5)) == 5
+            assert engine.stats().seen == 400
+        finally:
+            client.close()
+            engine.close()
+
+    def test_a_reply_for_another_request_closes_the_client(self, tmp_path):
+        class WrongId(InlineTransport):
+            def request(self, request):
+                reply = super().request(request)
+                return dataclasses.replace(reply, id=reply.id + 1)
+
+        engine = make_engine(tmp_path / "svc")
+        client = ServeClient(WrongId(ReservoirServer(engine)))
+        try:
+            with pytest.raises(TransportClosed, match="carries id 2"):
+                client.stats()
+            with pytest.raises(TransportClosed, match="closed"):
+                client.stats()
+        finally:
+            client.close()
             engine.close()
 
 

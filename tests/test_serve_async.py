@@ -15,13 +15,16 @@ import pytest
 from repro.core.geometric_file import GeometricFileConfig
 from repro.serve import (
     AsyncServeClient,
+    Request,
     ReservoirServer,
+    ServeClient,
     ServeError,
     ServerConfig,
+    TransportClosed,
 )
-from repro.serve.protocol import encode_frame
+from repro.serve.protocol import decode_frame, encode_frame, success
 from repro.service import ShardedReservoir
-from repro.storage import Record
+from repro.storage import Record, RecordBatch, RecordSchema
 
 pytestmark = [pytest.mark.serve, pytest.mark.timeout(120)]
 
@@ -223,3 +226,113 @@ class TestDrainOnShutdown:
         code = asyncio.run(run())
         engine.close()
         assert code == "shutting_down"
+
+
+# -- replies a client refuses -------------------------------------------------
+
+
+def wrong_id(request):
+    return encode_frame(success(request.id + 1, {}).to_wire())
+
+
+def torn_rows(request):
+    frame = bytearray(encode_frame(success(
+        request.id, rows=RecordBatch.empty(RecordSchema(32), 2)).to_wire()))
+    frame[4 + 9] ^= 0x40  # a header byte under the CRC
+    return bytes(frame)
+
+
+async def mangling_server(mangle):
+    """A server that answers every request with ``mangle(request)``."""
+    async def answer(reader, writer):
+        try:
+            while True:
+                prefix = await reader.readexactly(4)
+                body = await reader.readexactly(int.from_bytes(prefix,
+                                                               "big"))
+                writer.write(mangle(Request.from_wire(
+                    decode_frame(prefix + body))))
+                await writer.drain()
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(answer, "127.0.0.1", 0)
+
+
+def sync_client_calls_twice(host, port, **kwargs):
+    """The blocking client's first and second ``stats()`` errors."""
+    client = ServeClient.connect(host, port, **kwargs)
+    errors = []
+    for _ in range(2):
+        try:
+            client.stats()
+        except TransportClosed as exc:
+            errors.append(str(exc))
+    client.close()
+    return errors
+
+
+class TestRefusedReplies:
+    @pytest.mark.parametrize("mangle,reason", [
+        (wrong_id, "carries id"), (torn_rows, "checksum")],
+        ids=["wrong-id", "torn"])
+    def test_both_clients_close_on_a_refused_reply(self, mangle, reason):
+        async def run():
+            server = await mangling_server(mangle)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                client = await AsyncServeClient.connect(host, port)
+                with pytest.raises(TransportClosed, match=reason):
+                    await client.stats()
+                with pytest.raises(TransportClosed, match="closed"):
+                    await client.stats()
+                await client.close()
+                return await asyncio.to_thread(sync_client_calls_twice,
+                                               host, port)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        first, second = asyncio.run(run())
+        assert reason in first
+        assert "closed" in second
+
+    def test_oversized_reply_closes_the_client(self, tmp_path):
+        """A reply over the client's max_frame is refused unread: the
+        session closes, and the next call fails at once instead of
+        reading the refused body as a length prefix."""
+        async def load(server):
+            host, port = server.address
+            async with await AsyncServeClient.connect(host, port) as feed:
+                await feed.offer_batch(keyed_records(400))
+            small = await AsyncServeClient.connect(host, port,
+                                                   max_frame=600)
+            with pytest.raises(TransportClosed, match="oversized"):
+                await small.sample(100)
+            with pytest.raises(TransportClosed, match="closed"):
+                await small.stats()
+            await small.close()
+            errors = await asyncio.to_thread(sync_oversized, host, port)
+            async with await AsyncServeClient.connect(host, port) as ok:
+                return errors, (await ok.stats()).seen
+
+        ((first, second), seen), stats = serve(tmp_path, load)
+        assert "exceeds the 600-byte limit" in first
+        assert "closed" in second
+        assert seen == stats.seen == 400
+
+
+def sync_oversized(host, port):
+    """The blocking client's errors for an oversized ``sample`` reply
+    and the ``stats()`` after it."""
+    client = ServeClient.connect(host, port, max_frame=600)
+    errors = []
+    for call in (lambda: client.sample(100), client.stats):
+        try:
+            call()
+        except TransportClosed as exc:
+            errors.append(str(exc))
+    client.close()
+    return errors

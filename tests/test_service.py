@@ -31,7 +31,7 @@ from repro.service import (
     ShardedReservoir,
     allocate_counts,
     make_partitioner,
-    merge_shard_samples,
+    merge_shard_batches,
     mix64,
 )
 from test_batch_ingest import P_MIN, chi_square_p
@@ -164,13 +164,41 @@ class TestMerge:
         assert abs(totals[0] - 6000) < 300
 
     def test_merge_rejects_short_shard(self):
+        from repro.storage.records import RecordSchema
+
         payloads = [
             {"seen": 1000, "size": 3,
              "records": keyed_records(3)},
             {"seen": 10, "size": 10, "records": keyed_records(10)},
         ]
         with pytest.raises(ValueError, match="smallest shard reservoir"):
-            merge_shard_samples(np.random.default_rng(0), payloads, 8)
+            merge_shard_batches(np.random.default_rng(0), payloads, 8,
+                                RecordSchema(32))
+
+    @pytest.mark.parametrize("law", [
+        {},
+        {"law": "aexpj", "law_params": (("weight", "value"),),
+         "admission": "always"},
+    ], ids=["uniform", "aexpj"])
+    def test_sample_is_sample_batch_decoded(self, tmp_path, law):
+        """One merge: same-seed twins read the same records through
+        ``sample`` and ``sample_batch``, and through ``snapshot`` and
+        ``snapshot_batch``, under the uniform and the keyed merge."""
+        from repro.storage import Record
+
+        config = service_config(**law)
+        records = [Record(key=i, value=1.0 + i % 7, timestamp=float(i))
+                   for i in range(1500)]
+        with make_service(tmp_path / "a", config=config, seed=4) as a, \
+                make_service(tmp_path / "b", config=config, seed=4) as b:
+            a.offer_batch(records)
+            b.offer_batch(records)
+            for k in (1, 40, 100):
+                assert a.sample(k) == b.sample_batch(k).to_records()
+            got, seen = a.snapshot(30)
+            batch, batch_seen = b.snapshot_batch(30)
+            assert got == batch.to_records()
+            assert seen == batch_seen == 1500
 
 
 # -- ingest / stats round trip ----------------------------------------------

@@ -19,8 +19,9 @@ keep:
   the simulated disk of a batch-fed file;
 * **oracle** -- the k-row gather returns exactly the rows
   materialise-then-thin returns from the same generator states;
-* **no decode** -- ingest, flushes, reads, checkpoints and an inline
-  service never turn a row into a record object;
+* **no decode** -- ingest, flushes, reads, checkpoints, an inline
+  service and a served session over it never turn a row into a record
+  object;
 * **bounded pinning** -- evicted ledgers do not keep their whole
   drained slab alive.
 """
@@ -42,6 +43,7 @@ from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.core.managed import ManagedSample
 from repro.core.multi import MultiFileConfig, MultipleGeometricFiles
 from repro.reservoir import bulk_generator, draw_distinct
+from repro.serve import ReservoirServer, ServeClient
 from repro.service import ShardedReservoir
 from repro.storage.device import SimulatedBlockDevice
 from repro.storage.disk_model import DiskParameters
@@ -369,6 +371,24 @@ class TestNoDecode:
             assert len(svc.sample_batch(64)) == 64
             assert svc.query_batch(64).count().value > 0
             assert svc.stats().seen == 8_192
+
+    def test_served_session_offer_and_read(self, no_decode, tmp_path):
+        """Rows cross the wire as slab rows: a served session of
+        ``offer_batch(RecordBatch)``, ``sample_batch`` and ``stats``
+        builds no record on the client or the server."""
+        config = GeometricFileConfig(**SMALL)
+        with ShardedReservoir(tmp_path / "svc", config, shards=2,
+                              pool="inline", seed=3) as svc:
+            client = ServeClient.in_process(ReservoirServer(svc))
+            rng = np.random.default_rng(0)
+            schema = RecordSchema(config.record_size)
+            for first in range(0, 8_000, 512):
+                assert client.offer_batch(slab(schema, first, 512,
+                                               rng)) == 512
+            batch = client.sample_batch(64)
+            assert len(batch) == 64 and batch.schema == schema
+            assert client.stats().seen == 8_192
+            client.close()
 
 
 # -- bounded pinning ------------------------------------------------------------
